@@ -10,11 +10,12 @@ checked by exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (DynkinType, all_types, config_rank, config_sorted,
-                      config_str, local_pi1_order, parse_config, types_with_order)
+                      config_str, local_pi1_order, parse_config)
 
 # ---------------------------------------------------------------------------
 # surface profiles and the degree table
@@ -104,12 +105,6 @@ class FilterVerdict:
 
     def __str__(self):
         return "Ok" if self.ok else f"Contradiction({self.reason}: {self.detail})"
-
-
-def _bottom_degree(top: SurfaceProfile, n: int):
-    if n < 2 or top.d % n != 0:
-        return None
-    return top.d // n
 
 
 def cover_filter(h: CoverHypothesis) -> FilterVerdict:
@@ -328,9 +323,7 @@ def forced_point_orders(orders, n: int):
 
     Each top point of order m covers with local degree T/m, each smooth
     point with degree T, and the degrees must sum to n."""
-    lcm = 1
-    for m in orders:
-        lcm = lcm * m // _gcd(lcm, m)
+    lcm = math.lcm(*orders)
     out = []
     T = lcm
     while T // max(orders) <= n:
@@ -339,12 +332,6 @@ def forced_point_orders(orders, n: int):
             out.append(T)
         T += lcm
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def min_rank_for_order(T: int) -> int:

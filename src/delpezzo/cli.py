@@ -3,6 +3,9 @@ with canonical (sorted-key) JSON on stdout for golden-file testing.
 
 Exit codes: 0 success, 1 operation-level contradiction / Indeterminate /
 bound exceeded (still with a JSON body), 2 usage or parse error.
+
+Each subcommand imports the library modules it uses, so a process pays
+only for the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from . import classifier, fpgroups, lattice, plane_action, surfaces
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -43,6 +44,8 @@ class OperationFailure(Exception):
 # ---------------------------------------------------------------------------
 
 def cmd_quotient(args) -> dict:
+    from . import plane_action
+
     if bool(args.action) == bool(args.builtin):
         raise SystemExit2("exactly one of --action or --builtin is required")
     if args.builtin:
@@ -70,6 +73,8 @@ def cmd_quotient(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    from . import classifier
+
     top = args.top
     if top.startswith("lemma1:"):
         top = top[len("lemma1:"):]
@@ -80,6 +85,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_lemma1(args) -> dict:
+    from . import classifier
+
     rows = []
     for row in classifier.lemma1_table():
         entry = row.to_json()
@@ -89,6 +96,8 @@ def cmd_lemma1(args) -> dict:
 
 
 def _coset_bound(args) -> int:
+    from . import fpgroups
+
     if args.bound is not None:
         return args.bound
     env = os.environ.get("DELPEZZO_COSET_BOUND")
@@ -98,6 +107,8 @@ def _coset_bound(args) -> int:
 
 
 def _load_presentation(args) -> fpgroups.Presentation:
+    from . import fpgroups
+
     text = args.presentation
     if text is None:
         text = sys.stdin.read()
@@ -112,6 +123,8 @@ def _load_presentation(args) -> fpgroups.Presentation:
 
 
 def cmd_group(args) -> dict:
+    from . import fpgroups
+
     p = _load_presentation(args)
     out = {"presentation": fpgroups.format_presentation(p)}
     try:
@@ -129,6 +142,8 @@ def cmd_group(args) -> dict:
 
 
 def cmd_mumford(args) -> dict:
+    from . import fpgroups
+
     try:
         p = fpgroups.mumford_presentation(args.i)
     except ValueError as exc:
@@ -137,6 +152,8 @@ def cmd_mumford(args) -> dict:
 
 
 def _load_curve_config(path: str) -> lattice.CurveConfig:
+    from . import lattice
+
     try:
         data = json.loads(_read_maybe_file(path))
         return lattice.CurveConfig.from_json(data)
@@ -145,6 +162,8 @@ def _load_curve_config(path: str) -> lattice.CurveConfig:
 
 
 def cmd_recognize(args) -> dict:
+    from . import lattice
+
     c = _load_curve_config(args.config)
     result = lattice.recognize_dynkin(c)
     if isinstance(result, lattice.NotADE):
@@ -155,6 +174,8 @@ def cmd_recognize(args) -> dict:
 
 
 def cmd_blowdown(args) -> dict:
+    from . import lattice
+
     c = _load_curve_config(args.config)
     try:
         i = c.index_of(args.curve)
@@ -181,6 +202,8 @@ def _parse_params(pairs):
 
 
 def _load_poly(args) -> surfaces.WeightedPoly:
+    from . import surfaces
+
     text = _read_maybe_file(args.poly)
     try:
         return surfaces.parse_poly(text, _parse_params(args.param))
@@ -189,6 +212,8 @@ def _load_poly(args) -> surfaces.WeightedPoly:
 
 
 def cmd_wps(args) -> dict:
+    from . import surfaces
+
     f = _load_poly(args)
     qh, degree = surfaces.is_quasi_homogeneous(f)
     out = {"poly": str(f),
@@ -207,6 +232,8 @@ def cmd_wps(args) -> dict:
 
 
 def cmd_germ(args) -> dict:
+    from . import surfaces
+
     f = _load_poly(args)
     if len(f.names) != 2:
         raise SystemExit2("germ classification needs a 2-variable polynomial")
@@ -224,6 +251,8 @@ def cmd_germ(args) -> dict:
 
 
 def cmd_fibers(args) -> dict:
+    from . import surfaces
+
     configs = surfaces.fiber_configurations(args.must_contain, args.total_euler)
     return {"configs": [list(c) for c in configs],
             "euler": {t: surfaces.kodaira_euler(t)
@@ -231,6 +260,8 @@ def cmd_fibers(args) -> dict:
 
 
 def cmd_report(args) -> dict:
+    from . import classifier
+
     return classifier.theorem1_report()
 
 

@@ -65,7 +65,8 @@ def _poly_divmod(a, b):
         deg = len(a) - len(b)
         q[deg] = lead
         for i, bi in enumerate(b):
-            a[deg + i] -= lead * bi
+            if bi:
+                a[deg + i] -= lead * bi
         _poly_trim(a)
     return _poly_trim(q), a
 
@@ -98,7 +99,8 @@ def _reduce_mod_phi(coeffs, m):
         lead = c[-1]
         shift = len(c) - 1 - deg
         for i, pi in enumerate(phi):
-            c[shift + i] -= lead * pi
+            if pi:
+                c[shift + i] -= lead * pi
         _poly_trim(c)
     c += [Fraction(0)] * (deg - len(c))
     return tuple(c)
@@ -168,6 +170,19 @@ class RootOfUnity:
         return f"{self.exponent.numerator}/{self.exponent.denominator}"
 
 
+@lru_cache(maxsize=1024)
+def root_coordinates(e: Fraction) -> tuple:
+    """(conductor, coefficients) of zeta^e, e in [0, 1), in the smallest
+    cyclotomic field that contains it: the form
+    ``CyclotomicNumber.reduce_conductor`` gives, computed without building
+    a CyclotomicNumber, so CONDUCTOR_CAP does not apply."""
+    m, k, sign = e.denominator, e.numerator, 1
+    if m % 4 == 2:
+        # Q(zeta_m) = Q(zeta_{m/2}) and zeta_m^k = -zeta_{m/2}^((k + m/2)/2)
+        m, k, sign = m // 2, (k + m // 2) // 2, -1
+    return (m, _reduce_mod_phi([0] * k + [sign], m))
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -195,10 +210,6 @@ class CyclotomicNumber:
     @classmethod
     def from_rational(cls, q) -> "CyclotomicNumber":
         return cls(1, [Fraction(q)])
-
-    @classmethod
-    def from_root(cls, root: RootOfUnity) -> "CyclotomicNumber":
-        return root.to_cyclotomic()
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
@@ -407,13 +418,9 @@ class CyclotomicNumber:
         """
         if self.is_zero():
             return None
-        m = self.conductor
-        big = math.lcm(2, m)
-        lifted = self.lift(big)
-        for k in range(big):
-            if lifted == CyclotomicNumber.zeta(big, k):
-                return RootOfUnity(Fraction(k, big))
-        return None
+        big = math.lcm(2, self.conductor)
+        e = _roots_of_unity(big).get(self.lift(big).coeffs)
+        return None if e is None else RootOfUnity(e)
 
     # -- rendering -----------------------------------------------------------
 
@@ -439,3 +446,9 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.conductor}, {list(self.coeffs)!r})"
+
+
+@lru_cache(maxsize=64)
+def _roots_of_unity(m: int) -> dict:
+    """The m-th roots of unity in Q(zeta_m): power-basis coefficients -> k/m."""
+    return {CyclotomicNumber.zeta(m, k).coeffs: Fraction(k, m) for k in range(m)}

@@ -158,10 +158,6 @@ def config_rank(config) -> int:
     return sum(t.rank for t in config)
 
 
-def config_orders(config):
-    return sorted(local_pi1_order(t) for t in config)
-
-
 def config_str(config) -> str:
     if not config:
         return "smooth"
@@ -228,9 +224,6 @@ class CurveConfig:
 
     def index_of(self, label) -> int:
         return self.labels.index(label)
-
-    def self_intersection(self, i: int) -> int:
-        return self.matrix[i][i]
 
     def remove(self, i: int) -> "CurveConfig":
         keep = [k for k in range(len(self.labels)) if k != i]

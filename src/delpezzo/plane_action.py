@@ -3,10 +3,13 @@
 Group elements are monomial matrices (permutation times diagonal, with
 root-of-unity entries) considered up to a global scalar, i.e. as elements
 of PGL(3).  Everything downstream is exact: eigenvalues come cycle-wise
-as roots of unity, fixed points are cyclotomic, stabilizers are
-classified through Hirzebruch-Jung reduction or the binary polyhedral
-dictionary, and the quotient's K^2 and singularity configuration are
-assembled with integer arithmetic throughout.
+as roots of unity, and every fixed point and pointwise-fixed line of a
+monomial element has coordinates in {0} and the roots of unity, so such
+points are stored as triples of exponents and moved, compared and hashed
+without field arithmetic.  Stabilizers are classified through
+Hirzebruch-Jung reduction or the binary polyhedral dictionary, and the
+quotient's K^2 and singularity configuration are assembled with integer
+arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, RootOfUnity
-from .lattice import A, D, E, DynkinType, config_sorted, config_str
+from .cyclotomic import CyclotomicNumber, RootOfUnity, root_coordinates
+from .lattice import A, D, E, DynkinType, config_sorted
 
 GROUP_CAP = 720
 
@@ -186,12 +189,45 @@ def close_group(gens, cap: int = GROUP_CAP) -> FiniteActionGroup:
 # projective points and lines
 # ---------------------------------------------------------------------------
 
-class ProjectivePoint:
-    """Point of P^2 with cyclotomic coordinates, scalar-normalized so the
-    first nonzero coordinate is 1 and each coordinate sits in its minimal
-    cyclotomic field -- equal points have identical representations."""
+HALF = Fraction(1, 2)
+THIRDS = {Fraction(1, 3), Fraction(2, 3)}
 
-    __slots__ = ("coords",)
+
+def _root_key(e):
+    """(conductor, coefficients) of zeta^e, or of 0 when e is None, in the
+    smallest cyclotomic field that contains it."""
+    return (1, (Fraction(0),)) if e is None else root_coordinates(e)
+
+
+def _root_str(e) -> str:
+    if e is None:
+        return "0"
+    if e == 0:
+        return "1"
+    if e == HALF:
+        return "-1"
+    return f"zeta({e.numerator}/{e.denominator})"
+
+
+def _normalized(exps) -> tuple:
+    """Exponents rescaled so that the first nonzero coordinate is 1."""
+    lead = next((e for e in exps if e is not None), None)
+    if lead is None:
+        raise ActionError("all coordinates are zero")
+    return tuple(None if e is None else (e - lead) % 1 for e in exps)
+
+
+class ProjectivePoint:
+    """Point of P^2, scalar-normalized so the first nonzero coordinate is 1;
+    equal points have identical representations.
+
+    When every normalized coordinate is 0 or a root of unity -- always the
+    case for the fixed points and line normals of monomial elements -- the
+    point is the triple ``exps`` of exponents: a Fraction in [0, 1) for
+    zeta^e, None for 0.  Any other point keeps cyclotomic coordinates, each
+    in its minimal cyclotomic field, and ``exps`` is None."""
+
+    __slots__ = ("exps", "ident", "_coords")
 
     def __init__(self, coords):
         coords = [CyclotomicNumber._coerce(c) for c in coords]
@@ -201,25 +237,73 @@ class ProjectivePoint:
         if lead is None:
             raise ActionError("all coordinates are zero")
         inv = lead.inverse()
-        self.coords = tuple((c * inv).reduce_conductor() for c in coords)
+        coords = [c * inv for c in coords]
+        roots = [c.as_root_of_unity() for c in coords]
+        if all(r is not None or c.is_zero() for r, c in zip(roots, coords)):
+            self.exps = self.ident = tuple(None if r is None else r.exponent
+                                           for r in roots)
+            self._coords = None
+        else:
+            self._coords = tuple(c.reduce_conductor() for c in coords)
+            self.exps = None
+            self.ident = tuple((c.conductor, c.coeffs) for c in self._coords)
+
+    @classmethod
+    def _of(cls, exps) -> "ProjectivePoint":
+        """The point with these normalized exponents."""
+        p = object.__new__(cls)
+        p.exps = p.ident = exps
+        p._coords = None
+        return p
+
+    @property
+    def coords(self):
+        """The coordinates as CyclotomicNumbers."""
+        if self.exps is None:
+            return self._coords
+        return tuple(CyclotomicNumber(*_root_key(e)) for e in self.exps)
 
     def key(self):
-        return tuple((c.conductor, c.coeffs) for c in self.coords)
+        """Total order on points: minimal-field coordinates, compared as
+        (conductor, coefficients)."""
+        if self.exps is None:
+            return self.ident
+        return tuple(_root_key(e) for e in self.exps)
 
     def __eq__(self, other):
-        return isinstance(other, ProjectivePoint) and self.key() == other.key()
+        return isinstance(other, ProjectivePoint) and self.ident == other.ident
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.ident)
 
     def transformed(self, m: MonomialMatrix) -> "ProjectivePoint":
-        return ProjectivePoint(m.apply(list(self.coords)))
+        if self.exps is None:
+            return ProjectivePoint(m.apply(list(self.coords)))
+        out = [None, None, None]
+        for j, e in enumerate(self.exps):
+            if e is not None:
+                out[m.perm[j]] = e + m.scalars[j].exponent
+        return ProjectivePoint._of(_normalized(out))
 
     def __str__(self):
-        return "[" + ", ".join(str(c) for c in self.coords) + "]"
+        if self.exps is None:
+            return "[" + ", ".join(str(c) for c in self._coords) + "]"
+        return "[" + ", ".join(_root_str(e) for e in self.exps) + "]"
 
     def __repr__(self):
         return f"ProjectivePoint({self})"
+
+
+def _vanishes(terms) -> bool:
+    """Whether the sum of zeta^t over the exponents t (at most three) is 0.
+
+    Two roots of unity cancel only as z - z, three only as a rotation of
+    1 + w + w^2 with w a primitive cube root of unity."""
+    if len(terms) < 2:
+        return not terms
+    t0 = terms[0]
+    offsets = {(t - t0) % 1 for t in terms[1:]}
+    return offsets == ({HALF} if len(terms) == 2 else THIRDS)
 
 
 class Line:
@@ -234,6 +318,9 @@ class Line:
             self.normal = ProjectivePoint(normal_coords)
 
     def contains(self, p: ProjectivePoint) -> bool:
+        if self.normal.exps is not None and p.exps is not None:
+            return _vanishes([a + b for a, b in zip(self.normal.exps, p.exps)
+                              if a is not None and b is not None])
         total = CyclotomicNumber.zero()
         for a, b in zip(self.normal.coords, p.coords):
             total = total + a * b
@@ -243,13 +330,13 @@ class Line:
         return Line(self.normal.transformed(m.normal_action()))
 
     def meet(self, other: "Line") -> ProjectivePoint:
-        return ProjectivePoint(_cross(self.normal.coords, other.normal.coords))
+        return _cross_point(self.normal, other.normal)
 
     def __eq__(self, other):
         return isinstance(other, Line) and self.normal == other.normal
 
     def __hash__(self):
-        return hash(("line", self.normal.key()))
+        return hash(self.normal)
 
     def __str__(self):
         return f"{{{self.normal} . x = 0}}"
@@ -261,12 +348,40 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0]]
 
 
+def _cross_point(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
+    """p x q: the line (normal) through two points, or the meet of two lines
+    given by their normals.
+
+    With at most two nonzero coordinates in each factor -- as for fixed
+    points and fixed-line normals of monomial elements -- every entry of
+    the cross product has at most one nonzero term, except when p and q
+    have the same two-element support; then only that entry survives and
+    the product is a coordinate point."""
+    if p.exps is None or q.exps is None:
+        return ProjectivePoint(_cross(p.coords, q.coords))
+    out = []
+    mixed = False
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        terms = []
+        if p.exps[j] is not None and q.exps[k] is not None:
+            terms.append(p.exps[j] + q.exps[k])
+        if p.exps[k] is not None and q.exps[j] is not None:
+            terms.append(p.exps[k] + q.exps[j] + HALF)      # minus sign
+        if len(terms) == 2 and not _vanishes(terms):
+            terms, mixed = [Fraction(0)], True
+        out.append(terms[0] if len(terms) == 1 else None)
+    if mixed and sum(e is not None for e in out) > 1:
+        return ProjectivePoint(_cross(p.coords, q.coords))
+    return ProjectivePoint._of(_normalized(out))
+
+
 # ---------------------------------------------------------------------------
 # eigen data and fixed loci
 # ---------------------------------------------------------------------------
 
 def eigen_data(m: MonomialMatrix):
-    """Three (eigenvalue, eigenvector) pairs, computed cycle by cycle.
+    """Three (eigenvalue exponent, eigenvector) pairs, computed cycle by cycle.
 
     A permutation cycle of length c whose scalars multiply to rho
     contributes the c c-th roots of rho; the eigenvector for each is
@@ -285,21 +400,19 @@ def eigen_data(m: MonomialMatrix):
             seen.add(j)
             j = m.perm[j]
         c = len(cycle)
-        rho = RootOfUnity.one()
-        for j in cycle:
-            rho = rho * m.scalars[j]
+        rho = sum(m.scalars[j].exponent for j in cycle) % 1
         for t in range(c):
-            lam = RootOfUnity((rho.exponent + t) / c)
-            coords = [CyclotomicNumber.zero() for _ in range(3)]
-            coords[start] = CyclotomicNumber.from_rational(1)
-            value = CyclotomicNumber.from_rational(1)
+            lam = ((rho + t) / c) % 1
+            # start is the cycle's smallest index, so the vector is normalized
+            exps = [None, None, None]
+            exps[start] = value = Fraction(0)
             j = start
             for _ in range(c - 1):
                 # v[perm(j)] = scalars[j] * v[j] / lambda
-                value = value * (m.scalars[j] / lam)
+                value = value + m.scalars[j].exponent - lam
                 j = m.perm[j]
-                coords[j] = value
-            pairs.append((lam, ProjectivePoint(coords)))
+                exps[j] = value % 1
+            pairs.append((lam, ProjectivePoint._of(tuple(exps))))
     return pairs
 
 
@@ -323,23 +436,24 @@ def fixed_locus(g: MonomialMatrix) -> FixedLocus:
     double = next(lam for lam, c in counts.items() if c == 2)
     plane = [v for lam, v in pairs if lam == double]
     isolated = [v for lam, v in pairs if lam != double]
-    return FixedLocus(isolated, Line(_cross(plane[0].coords, plane[1].coords)))
+    return FixedLocus(isolated, Line(_cross_point(plane[0], plane[1])))
 
 
 def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
     """Eigenvalues of the induced action on the tangent plane at a fixed
     point: the two other matrix eigenvalues divided by the one at p."""
-    image = g.apply(list(p.coords))
-    i = next(k for k in range(3) if not p.coords[k].is_zero())
-    lam_value = image[i] / p.coords[i]
-    for k in range(3):
-        if not (image[k] - lam_value * p.coords[k]).is_zero():
-            raise ActionError(f"point {p} is not fixed by the element")
-    lam = lam_value.as_root_of_unity()
-    assert lam is not None, "eigenvalue of a finite-order element must be a root of unity"
+    if p.transformed(g) != p:
+        raise ActionError(f"point {p} is not fixed by the element")
+    if p.exps is not None:
+        # the coordinate of p that is 1 comes from column j, times scalars[j]
+        j = g.perm.index(p.exps.index(0))
+        lam = (p.exps[j] + g.scalars[j].exponent) % 1
+    else:
+        i = next(k for k in range(3) if not p.coords[k].is_zero())
+        lam = (g.apply(list(p.coords))[i] / p.coords[i]).as_root_of_unity().exponent
     values = [v for v, _ in eigen_data(g)]
     values.remove(lam)       # one copy only: multiplicity matters
-    return (values[0] / lam, values[1] / lam)
+    return (RootOfUnity(values[0] - lam), RootOfUnity(values[1] - lam))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +526,9 @@ def _subgroup_closure(elements):
         x = frontier.pop()
         for y in list(seen.values()):
             for z in ((x * y).canonical(), (y * x).canonical()):
-                if z.sort_key() not in seen:
-                    seen[z.sort_key()] = z
+                key = z.sort_key()
+                if key not in seen:
+                    seen[key] = z
                     frontier.append(z)
     return list(seen.values())
 
@@ -429,12 +544,15 @@ def _abelianization_order(elements):
     return len(elements) // len(derived)
 
 
-def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint):
+def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None):
     """Local classification of the quotient singularity at the image of p.
 
-    Returns SMOOTH, a DynkinType, NonGorensteinCyclic, or Unsupported.
+    stab, when given, is the stabilizer of p in group (a list of its
+    elements); otherwise it is computed.  Returns SMOOTH, a DynkinType,
+    NonGorensteinCyclic, or Unsupported.
     """
-    stab = _stabilizer(group, p)
+    if stab is None:
+        stab = _stabilizer(group, p)
     if len(stab) == 1:
         raise ActionError(f"point {p} has trivial stabilizer")
     nontrivial = [g for g in stab if not g.is_identity()]
@@ -527,6 +645,21 @@ class QuotientProfile:
                 "euler_check": self.euler_check}
 
 
+def _orbits(group: FiniteActionGroup, items, image):
+    """Partition items into group orbits, in order of first appearance:
+    a list of orbits, each a dict whose keys are its members in the order
+    the group elements produce them."""
+    unassigned = dict.fromkeys(items)
+    out = []
+    while unassigned:
+        first = next(iter(unassigned))
+        orbit = dict.fromkeys(image(first, g) for g in group.elements)
+        for x in orbit:
+            unassigned.pop(x, None)
+        out.append(orbit)
+    return out
+
+
 def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     """Singularity configuration and K^2 of P^2 / G.
 
@@ -537,59 +670,43 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     of their pointwise stabilizer.
     """
     n = group.order
-    loci = [(g, fixed_locus(g)) for g in group.non_identity()]
+    loci = [fixed_locus(g) for g in group.non_identity()]
 
-    # gather pointwise-fixed lines with their pointwise stabilizer orders
-    lines = []
-    for g, loc in loci:
-        if loc.line is not None and loc.line not in lines:
-            lines.append(loc.line)
+    # pointwise-fixed lines with their pointwise stabilizer orders
     line_e = {}
+    for loc in loci:
+        if loc.line is not None:
+            line_e[loc.line] = line_e.get(loc.line, 1) + 1
+    lines = list(line_e)
+
+    # candidate points, in order of first appearance
+    candidates = dict.fromkeys(p for loc in loci for p in loc.points)
     for line in lines:
-        fixers = 1 + sum(1 for g, loc in loci if loc.line == line)
-        line_e[line] = fixers
-
-    # candidate points
-    candidates = []
-
-    def add(p):
-        if p not in candidates:
-            candidates.append(p)
-
-    for g, loc in loci:
-        for p in loc.points:
-            add(p)
-    for line in lines:
-        for h, loc in loci:
+        for loc in loci:
             if loc.line == line:
                 continue
             for p in loc.points:
                 if line.contains(p):
-                    add(p)
+                    candidates[p] = None
             if loc.line is not None:
-                add(line.meet(loc.line))
+                candidates[line.meet(loc.line)] = None
 
     # group candidates into orbits
     orbits = []
     orbit_points = []        # parallel to orbits: the full point orbit
-    unassigned = list(candidates)
-    while unassigned:
-        rep = unassigned[0]
-        orbit = []
-        for g in group.elements:
-            q = rep.transformed(g)
-            if q not in orbit:
-                orbit.append(q)
-        unassigned = [p for p in unassigned if p not in orbit]
-        rep = min(orbit, key=lambda p: p.key())
+    for orbit in _orbits(group, candidates, ProjectivePoint.transformed):
+        rep = min(orbit, key=ProjectivePoint.key)
         stab = _stabilizer(group, rep)
+        if len(orbit) * len(stab) != n:
+            raise ActionError(f"orbit of {rep} has size {len(orbit)} but its "
+                              f"stabilizer has order {len(stab)} in a group of order {n}")
         if len(stab) == 1:
             continue        # free orbit: never a singular image
-        cls = classify_stabilizer(group, rep)
+        cls = classify_stabilizer(group, rep, stab)
         if isinstance(cls, Unsupported):
             raise ActionError(str(cls))
         orbits.append(OrbitData(rep, len(orbit), len(stab), cls))
-        orbit_points.append(orbit)
+        orbit_points.append(list(orbit))
     order = sorted(range(len(orbits)), key=lambda i: orbits[i].representative.key())
     orbits = [orbits[i] for i in order]
     orbit_points = [orbit_points[i] for i in order]
@@ -597,18 +714,10 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     # branch line orbits
     branch = []
     line_orbits = []         # parallel to branch: the full line orbit
-    remaining = list(lines)
-    while remaining:
-        line = remaining[0]
-        orbit = []
-        for g in group.elements:
-            img = line.transformed(g)
-            if img not in orbit:
-                orbit.append(img)
-        remaining = [l for l in remaining if l not in orbit]
+    for orbit in _orbits(group, lines, Line.transformed):
         rep = min(orbit, key=lambda l: l.normal.key())
-        branch.append(BranchLineData(rep, line_e[line], len(orbit)))
-        line_orbits.append(orbit)
+        branch.append(BranchLineData(rep, line_e[rep], len(orbit)))
+        line_orbits.append(list(orbit))
     order = sorted(range(len(branch)), key=lambda i: branch[i].line.normal.key())
     branch = [branch[i] for i in order]
     line_orbits = [line_orbits[i] for i in order]

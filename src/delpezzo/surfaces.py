@@ -233,17 +233,6 @@ class Indeterminate:
         return f"Indeterminate({'; '.join(self.factors)})"
 
 
-def _to_univariate(p):
-    """{(k,): c} dict -> dense coefficient list, low degree first."""
-    if not p:
-        return []
-    deg = max(e[0] for e in p)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.items():
-        out[e[0]] = c
-    return out
-
-
 def _univ_divmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
@@ -712,21 +701,6 @@ def _cpoly_mul(a, b):
             v = ca * cb
             out[e] = v + out[e] if e in out else v
     return {e: c for e, c in out.items() if not _is_zero(c)}
-
-
-def substitute_linear(f_terms, matrix):
-    """Compose a 2-variable polynomial with the linear change (x,y) -> M(x,y)."""
-    x = poly_clean({(1, 0): Fraction(matrix[0][0]), (0, 1): Fraction(matrix[0][1])})
-    y = poly_clean({(1, 0): Fraction(matrix[1][0]), (0, 1): Fraction(matrix[1][1])})
-    out = {}
-    for (i, j), c in f_terms.items():
-        term = {(0, 0): c}
-        for _ in range(i):
-            term = poly_mul(term, x)
-        for _ in range(j):
-            term = poly_mul(term, y)
-        out = poly_add(out, term)
-    return out
 
 
 # ---------------------------------------------------------------------------

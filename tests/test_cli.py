@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from delpezzo.cli import main
+
+GOLDEN = json.loads(Path(__file__).with_name("quotient_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -42,6 +48,44 @@ def test_quotient_unsupported_exits_1(capsys):
     code, out = run(capsys, "quotient", "--action", text)
     assert code == 1
     assert "error" in out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: c["argv"][2][:24])
+def test_quotient_golden_stdout(capsys, case):
+    # the whole answer byte for byte: representatives, orbit and line order
+    assert main(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_quotient_conductor_beyond_cap(capsys):
+    # a 3-cycle cubing to the scalar zeta_361: the quotient of z3, with
+    # fixed points in Q(zeta_1083)
+    text = json.dumps([{"perm": [1, 2, 0], "scalars": ["0", "0", "1/361"]}])
+    code, out = run(capsys, "quotient", "--action", text)
+    assert code == 0
+    assert (out["group_order"], out["k2"]) == (3, 3)
+    assert out["config"] == ["A2", "A2", "A2"]
+    assert out["euler_check"]["pass"]
+    # diag(1, zeta_361, 1): K^2 = 363^2/361 is not an integer
+    text = json.dumps([{"perm": [0, 1, 2], "scalars": ["0", "1/361", "0"]}])
+    code, out = run(capsys, "quotient", "--action", text)
+    assert code == 1
+    assert "error" in out
+
+
+def test_subcommands_import_only_their_modules():
+    script = (
+        "import sys\n"
+        "import delpezzo.cli as cli\n"
+        "unused = ['delpezzo.classifier', 'delpezzo.fpgroups', 'delpezzo.surfaces']\n"
+        "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n"
+        "cli.main(['quotient', '--builtin', 'z3'])\n"
+        "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quotient_usage_errors(capsys):

@@ -1,4 +1,8 @@
+import itertools
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +16,7 @@ from delpezzo.plane_action import (
     NonGorensteinCyclic,
     ProjectivePoint,
     SMOOTH,
+    _cross,
     builtin_actions,
     classify_stabilizer,
     close_group,
@@ -226,3 +231,123 @@ def test_line_meet():
     l1 = Line([CyclotomicNumber.from_rational(c) for c in (1, 0, 0)])
     l2 = Line([CyclotomicNumber.from_rational(c) for c in (0, 1, 0)])
     assert l1.meet(l2) == pt(0, 0, 1)
+
+
+def test_pt_is_exponent_form_exactly_for_roots_of_unity():
+    assert pt(1, 0, 0).exps == (Fraction(0), None, None)
+    assert pt(2, -2, 0) == pt(1, -1, 0) == ProjectivePoint._of((Fraction(0), Fraction(1, 2), None))
+    assert pt(1, 5, 0).exps is None and pt(1, 2, 3).exps is None
+    assert pt(1, 0, 0) in fixed_locus(mono((0, 1, 2), ("0", "1/3", "2/3"))).points
+
+
+# ---------------------------------------------------------------------------
+# exponent arithmetic against the cyclotomic reference
+# ---------------------------------------------------------------------------
+
+def test_exponent_key_and_str_match_cyclotomic_reference():
+    zero = (CyclotomicNumber.zero() * CyclotomicNumber.zeta(12)).reduce_conductor()
+    checked = 0
+    for m in range(1, 37):
+        for k in range(m):
+            if math.gcd(k, m) != 1:
+                continue
+            e = Fraction(k, m)
+            ref = RootOfUnity(e).to_cyclotomic().reduce_conductor()
+            p = ProjectivePoint._of((Fraction(0), e, None))
+            assert p.key() == ((1, (Fraction(1),)), (ref.conductor, ref.coeffs),
+                               (zero.conductor, zero.coeffs)), e
+            assert str(p) == f"[1, {ref}, 0]"
+            checked += 1
+    assert checked == 396
+
+
+def _ref(p):
+    """Coordinates of an exponent point rebuilt as CyclotomicNumbers."""
+    return [CyclotomicNumber.zero() if e is None else RootOfUnity(e).to_cyclotomic()
+            for e in p.exps]
+
+
+def _same_point(u, v):
+    return all(c.is_zero() for c in _cross(u, v))
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), CyclotomicNumber.zero())
+
+
+def _spectrum(g):
+    """Exponents of the three eigenvalues: the c-th roots of the scalar
+    product along each permutation cycle of length c."""
+    out, seen = [], set()
+    for start in range(3):
+        if start in seen:
+            continue
+        cycle, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = g.perm[j]
+        rho = sum(g.scalars[j].exponent for j in cycle)
+        out += [((rho + t) / len(cycle)) % 1 for t in range(len(cycle))]
+    return out
+
+
+def _random_element(rng, perms):
+    """A monomial element with scalars in mu_12; half of them reflections,
+    whose double eigenvalue gives a pointwise-fixed line."""
+    d = rng.choice([1, 2, 3, 4, 6, 12])
+    perm = rng.choice(perms)
+    exps = [Fraction(rng.randrange(d), d) for _ in range(3)]
+    fixed = [k for k in range(3) if perm[k] == k]
+    if rng.random() < 0.5 and len(fixed) == 3:        # repeat a diagonal scalar
+        i, j = rng.sample(range(3), 2)
+        exps[i] = exps[j]
+    elif rng.random() < 0.5 and len(fixed) == 1:      # match a 2-cycle eigenvalue
+        i, j = [x for x in range(3) if x != fixed[0]]
+        exps[fixed[0]] = (exps[i] + exps[j]) / 2 + rng.choice([0, Fraction(1, 2)])
+    return MonomialMatrix(perm, tuple(RootOfUnity(e) for e in exps)).canonical()
+
+
+def test_exponent_points_match_cyclotomic_reference():
+    rng = random.Random(2405)
+    perms = list(itertools.permutations(range(3)))
+    elements = [g for g in (_random_element(rng, perms) for _ in range(30))
+                if not g.is_identity()]
+    loci = [fixed_locus(g) for g in elements]
+    points = [p for loc in loci for p in loc.points]
+    lines = list(dict.fromkeys(loc.line for loc in loci if loc.line is not None))
+    assert all(p.exps is not None for p in points) and len(lines) >= 8
+
+    for g in elements:
+        for p in rng.sample(points, 2):
+            assert _same_point(_ref(p.transformed(g)), g.apply(_ref(p)))
+
+    for l1, l2 in itertools.combinations(lines, 2):
+        q = l1.meet(l2)
+        assert _same_point(_ref(q), _cross(_ref(l1.normal), _ref(l2.normal)))
+        assert l1.contains(q) and l2.contains(q)
+
+    # contains: sums of up to two terms from the monomial loci, and of
+    # three terms against normals made to vanish on a full-support point
+    full = [p for p in points if None not in p.exps][:4]
+    cubic = [Line(ProjectivePoint._of((Fraction(0), (Fraction(1, 3) - p.exps[1]) % 1,
+                                       (Fraction(2, 3) - p.exps[2]) % 1))) for p in full]
+    hits = 0
+    for line in lines + cubic:
+        for p in rng.sample(points, 6) + full:
+            got = line.contains(p)
+            assert got == _dot(_ref(line.normal), _ref(p)).is_zero()
+            hits += got
+    assert hits >= 8 and all(l.contains(p) for l, p in zip(cubic, full))
+
+    for g, loc in zip(elements, loci):
+        spectrum = _spectrum(g)
+        for p in loc.points:
+            image, coords = g.apply(_ref(p)), _ref(p)
+            lam = next(mu for mu in spectrum
+                       if all((a - RootOfUnity(mu).to_cyclotomic() * b).is_zero()
+                              for a, b in zip(image, coords)))
+            rest = list(spectrum)
+            rest.remove(lam)
+            got = sorted(t.exponent for t in tangent_eigenvalues(g, p))
+            assert got == sorted((mu - lam) % 1 for mu in rest)
