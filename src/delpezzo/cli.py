@@ -96,14 +96,24 @@ def cmd_lemma1(args) -> dict:
 
 
 def _coset_bound(args) -> int:
+    """The number of cosets the enumeration may define: --bound, else
+    DELPEZZO_COSET_BOUND, else the library default."""
     from . import fpgroups
 
     if args.bound is not None:
-        return args.bound
-    env = os.environ.get("DELPEZZO_COSET_BOUND")
-    if env is not None:
-        return int(env)
-    return fpgroups.DEFAULT_COSET_BOUND
+        bound, source = args.bound, "--bound"
+    else:
+        env = os.environ.get("DELPEZZO_COSET_BOUND")
+        if env is None:
+            return fpgroups.DEFAULT_COSET_BOUND
+        source = "DELPEZZO_COSET_BOUND"
+        try:
+            bound = int(env)
+        except ValueError:
+            raise SystemExit2(f"{source} must be an integer, got {env!r}") from None
+    if bound < 1:
+        raise SystemExit2(f"{source} must be at least 1, got {bound}")
+    return bound
 
 
 def _load_presentation(args) -> fpgroups.Presentation:
@@ -113,9 +123,15 @@ def _load_presentation(args) -> fpgroups.Presentation:
     if text is None:
         text = sys.stdin.read()
     text = text.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-        text = data.get("presentation", "")
+    if text.startswith(("{", "[")):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SystemExit2(f"bad presentation JSON: {exc}") from None
+        text = data.get("presentation", "") if isinstance(data, dict) else None
+        if not isinstance(text, str):
+            raise SystemExit2('presentation JSON must be an object whose '
+                              '"presentation" is a string')
     try:
         return fpgroups.parse_presentation(text)
     except ValueError as exc:
@@ -125,10 +141,13 @@ def _load_presentation(args) -> fpgroups.Presentation:
 def cmd_group(args) -> dict:
     from . import fpgroups
 
+    if args.hom is not None and args.hom < 1:
+        raise SystemExit2(f"--hom must be at least 1, got {args.hom}")
+    bound = _coset_bound(args)
     p = _load_presentation(args)
     out = {"presentation": fpgroups.format_presentation(p)}
     try:
-        out["order"] = fpgroups.coset_enumerate(p, _coset_bound(args))
+        out["order"] = fpgroups.coset_enumerate(p, bound)
     except fpgroups.CosetBoundExceeded as exc:
         raise OperationFailure({"error": str(exc), "bound": exc.bound,
                                 "presentation": out["presentation"]}) from None

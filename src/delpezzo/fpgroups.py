@@ -1,7 +1,13 @@
 """Finitely presented groups: coset enumeration and abelianization.
 
-Todd-Coxeter is the deterministic HLT strategy (no lookahead), cosets
-defined in scanning order, so tables and orders are reproducible.
+Todd-Coxeter is the deterministic HLT strategy (Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005, section 5.1): every relator
+is scanned from every live coset in order, and the row is then filled.
+A generator with the relator g g or -g -g is an involution and gets one
+table column that is its own inverse, so that relator holds by
+construction.  Coincidences are processed as soon as a scan finds them,
+so the rows of live cosets only ever name live cosets and a scan never
+consults the union-find.  The coset bound counts every coset defined.
 Abelianization goes through the Smith normal form of the relator
 exponent-sum matrix.
 """
@@ -27,6 +33,8 @@ class Presentation:
     relators: tuple  # tuples of signed 1-based generator indices
 
     def __post_init__(self):
+        if self.ngens < 0:
+            raise ValueError(f"the number of generators must be >= 0, got {self.ngens}")
         for rel in self.relators:
             if not rel:
                 raise ValueError("relators must be nonempty words")
@@ -117,141 +125,142 @@ def format_presentation(p: Presentation) -> str:
 # Todd-Coxeter coset enumeration (HLT) over the trivial subgroup
 # ---------------------------------------------------------------------------
 
-def _letter_to_col(g: int) -> int:
-    # generator k -> column 2(k-1), inverse -> 2(k-1)+1
-    return 2 * (abs(g) - 1) + (0 if g > 0 else 1)
-
-
-def _inverse_col(col: int) -> int:
-    return col ^ 1
-
-
 class CosetTable:
-    """Working state for HLT enumeration; rows map coset x column -> coset."""
+    """Working state for HLT enumeration of the cosets of the trivial
+    subgroup of the group presented by p.
 
-    def __init__(self, ngens: int, bound: int):
-        self.ncols = 2 * ngens
+    Cosets are numbered from 1 in the order they are defined, and 0 marks
+    an undefined entry.  The table is stored by column: columns[col][c] is
+    the image of coset c under the letter of column col.  A generator g
+    with the relator g g or -g -g is an involution and has one column,
+    its own inverse; every other generator has a column for g and one for
+    -g.  Each relator is kept as the columns of its letters, the columns of
+    their inverses (which a scan reads backward) and the column indices;
+    involution relators hold by construction and are dropped.
+
+    Coincidences are processed at once (Holt's COINCIDENCE), so outside
+    coincide() the row of every live coset names only live cosets.
+    """
+
+    def __init__(self, p: Presentation, bound: int):
+        squares = [rel for rel in p.relators if len(rel) == 2 and rel[0] == rel[1]]
+        involutions = {abs(rel[0]) for rel in squares}
+        col = {}                    # letter -> column
+        self.inverse = []           # column -> column of the inverse letter
+        for g in range(1, p.ngens + 1):
+            k = len(self.inverse)
+            if g in involutions:
+                col[g] = col[-g] = k
+                self.inverse.append(k)
+            else:
+                col[g], col[-g] = k, k + 1
+                self.inverse += [k + 1, k]
+        self.columns = [[0, 0] for _ in self.inverse]
+        self.relators = [
+            ([self.columns[col[g]] for g in rel],
+             [self.columns[col[-g]] for g in rel],
+             [col[g] for g in rel])
+            for rel in p.relators if rel not in squares]
+        self.parent = [0, 1]        # union-find forest; index 0 is unused
         self.bound = bound
-        self.rows = [[None] * self.ncols]
-        self.parent = [0]       # union-find for coincidences
-        self.defined = 1
 
     def find(self, c):
-        while self.parent[c] != c:
-            self.parent[c] = self.parent[self.parent[c]]
-            c = self.parent[c]
+        parent = self.parent
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
         return c
 
     def define(self, c, col):
-        if self.defined >= self.bound:
+        """Define c.col as a new coset and return it.  The bound counts
+        every coset defined, coset 1 and the dead ones included."""
+        new = len(self.parent)
+        if new > self.bound:
             raise CosetBoundExceeded(self.bound)
-        new = len(self.rows)
-        self.rows.append([None] * self.ncols)
         self.parent.append(new)
-        self.defined += 1
-        self.rows[c][col] = new
-        self.rows[new][_inverse_col(col)] = c
+        for column in self.columns:
+            column.append(0)
+        self.columns[col][c] = new
+        self.columns[self.inverse[col]][new] = c
         return new
 
-    def set_entry(self, c, col, d):
-        """Record c.col = d, merging cosets when this collides."""
-        self._process([(c, col, d)])
-
     def coincide(self, a, b):
-        """Merge cosets a and b and propagate the consequences."""
+        """Identify cosets a and b and every consequence, row by row."""
+        columns, inverse, find = self.columns, self.inverse, self.find
         queue = []
         self._merge(a, b, queue)
-        self._process(queue)
-
-    def _process(self, queue):
-        while queue:
-            c, col, d = queue.pop()
-            c, d = self.find(c), self.find(d)
-            cur = self.rows[c][col]
-            if cur is not None and self.find(cur) != d:
-                queue.append((c, col, d))
-                self._merge(self.find(cur), d, queue)
-                continue
-            self.rows[c][col] = d
-            back = self.rows[d][_inverse_col(col)]
-            if back is None:
-                self.rows[d][_inverse_col(col)] = c
-            elif self.find(back) != c:
-                self._merge(self.find(back), c, queue)
+        for dead in queue:              # _merge appends while this reads
+            for col, column in enumerate(columns):
+                d = column[dead]
+                if not d:
+                    continue
+                back = columns[inverse[col]]
+                back[d] = 0             # the edge d -> dead goes with dead
+                mu, nu = find(dead), find(d)
+                if column[mu]:
+                    self._merge(nu, column[mu], queue)
+                elif back[nu]:
+                    self._merge(mu, back[nu], queue)
+                else:
+                    column[mu] = nu
+                    back[nu] = mu
 
     def _merge(self, a, b, queue):
         a, b = self.find(a), self.find(b)
-        if a == b:
-            return
-        if b < a:
-            a, b = b, a
-        self.parent[b] = a
-        for col in range(self.ncols):
-            entry = self.rows[b][col]
-            if entry is not None:
-                queue.append((a, col, entry))
+        if a != b:
+            if b < a:
+                a, b = b, a
+            self.parent[b] = a
+            queue.append(b)
 
-    def live_cosets(self):
-        return [c for c in range(len(self.rows)) if self.find(c) == c]
-
-    def scan_and_fill(self, coset, word):
-        """Trace a relator word from a coset, defining cosets as needed."""
-        cols = [_letter_to_col(g) for g in word]
-        f, b = coset, coset
-        fi, bi = 0, len(cols)
+    def scan_and_fill(self, coset, relator):
+        """Trace a relator from a live coset, defining cosets as needed."""
+        fwd, back, cols = relator
+        f = b = coset
+        i, j = 0, len(cols)             # letters i..j-1 are still untraced
         while True:
-            f = self.find(f)
-            b = self.find(b)
-            # scan forward as far as possible
-            while fi < bi:
-                nxt = self.rows[f][cols[fi]]
-                if nxt is None:
-                    break
-                f = self.find(nxt)
-                fi += 1
-            if fi == bi:
+            while i < j and (nxt := fwd[i][f]):
+                f = nxt
+                i += 1
+            if i == j:
                 if f != b:
                     self.coincide(f, b)
                 return
-            # scan backward toward the forward frontier
-            while bi > fi + 1:
-                prev = self.rows[b][_inverse_col(cols[bi - 1])]
-                if prev is None:
-                    break
-                b = self.find(prev)
-                bi -= 1
-            if bi == fi + 1:
-                # deduction closes the scan
-                self.set_entry(f, cols[fi], b)
+            while j > i and (prev := back[j - 1][b]):
+                b = prev
+                j -= 1
+            if j == i:
+                self.coincide(f, b)
                 return
-            # fill: define a new coset at the forward frontier
-            self.define(f, cols[fi])
+            if j == i + 1:
+                # deduction closes the scan
+                fwd[i][f] = b
+                back[i][b] = f
+                return
+            self.define(f, cols[i])
 
 
 def coset_enumerate(p: Presentation, bound: int = DEFAULT_COSET_BOUND) -> int:
     """Order of the group presented by p, enumerating cosets of the
-    trivial subgroup.  Raises CosetBoundExceeded if the table grows past
-    the bound before completing."""
+    trivial subgroup.  Raises CosetBoundExceeded if the enumeration needs
+    to define more than `bound` cosets."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    table = CosetTable(p.ngens, bound)
-    # enumerate over the trivial subgroup: no subgroup generator scans
-    c = 0
-    while c < len(table.rows):
-        if table.find(c) != c:
-            c += 1
-            continue
-        for rel in p.relators:
-            if table.find(c) != c:
+    table = CosetTable(p, bound)
+    parent, columns = table.parent, table.columns
+    c = 1
+    while c < len(parent):
+        for rel in table.relators:
+            if parent[c] != c:
                 break
             table.scan_and_fill(c, rel)
-        if table.find(c) == c:
+        if parent[c] == c:
             # HLT fill: complete the row so the enumeration keeps moving
-            for col in range(table.ncols):
-                if table.find(c) == c and table.rows[c][col] is None:
+            for col, column in enumerate(columns):
+                if not column[c]:
                     table.define(c, col)
         c += 1
-    return len(table.live_cosets())
+    return sum(1 for c in range(1, len(parent)) if parent[c] == c)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,34 @@ def test_group_bound_exceeded(capsys, monkeypatch):
     assert out["bound"] == 5 and "error" in out
 
 
+@pytest.mark.parametrize("text", [
+    "{bad json",                        # not JSON
+    "[1, 2]",                           # JSON, but not an object
+    '{"presentation": 5}',              # "presentation" is not a string
+    '{"presentation": ["gens=1"]}',
+])
+def test_group_bad_presentation_json_exits_2(capsys, text):
+    assert main(["group", "--presentation", text]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_group_hom_below_1_exits_2(capsys):
+    assert main(["group", "--presentation", "gens=1; rel=1^6", "--hom", "0"]) == 2
+    assert "--hom" in capsys.readouterr().err
+
+
+def test_group_bound_below_1_exits_2(capsys):
+    assert main(["group", "--presentation", "gens=1; rel=1^6", "--bound", "0"]) == 2
+    assert "--bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_group_bad_bound_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("DELPEZZO_COSET_BOUND", value)
+    assert main(["group", "--presentation", "gens=1; rel=1^6"]) == 2
+    assert "DELPEZZO_COSET_BOUND" in capsys.readouterr().err
+
+
 def test_group_hom_count(capsys):
     code, out = run(capsys, "group", "--presentation", "gens=1; rel=1^6",
                     "--hom", "4")

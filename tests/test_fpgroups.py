@@ -1,3 +1,7 @@
+import random
+from math import factorial
+from pathlib import Path
+
 import pytest
 
 from delpezzo.fpgroups import (
@@ -26,6 +30,8 @@ def test_parse_rejects_garbage():
         parse_presentation("rel=1^2")
     with pytest.raises(ValueError):
         parse_presentation("gens=1; rel=3^2")
+    with pytest.raises(ValueError):
+        parse_presentation("gens=-2")
 
 
 def test_cyclic_group():
@@ -48,6 +54,142 @@ def test_free_group_exceeds_bound():
     p = Presentation(2, [])
     with pytest.raises(CosetBoundExceeded):
         coset_enumerate(p, bound=50)
+
+
+def coxeter(n, edges):
+    """Coxeter presentation on n involutions: (i j)^m for each edge
+    (i, j, m), (i j)^2 for every other pair."""
+    m = {(i, j): k for i, j, k in edges}
+    rels = [(i, i) for i in range(1, n + 1)]
+    rels += [(i, j) * m.get((i, j), 2)
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return Presentation(n, tuple(rels))
+
+
+def chain(n, last=3):
+    return [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 1, n, last)]
+
+
+def von_dyck(l, m, n):
+    return Presentation(2, ((1,) * l, (2,) * m, (1, 2) * n))
+
+
+# closed forms: |W(A_n)| = (n+1)!, |W(B_n)| = 2^n n!, |W(D_n)| = 2^(n-1) n!,
+# (2,2,n) is dihedral of order 2n, (2,3,r) is S3, A4, S4, A5 for r = 2..5
+PINNED = (
+    [(f"A{n}", coxeter(n, chain(n)), factorial(n + 1)) for n in (4, 5, 6)]
+    + [(f"B{n}", coxeter(n, chain(n, 4)), 2 ** n * factorial(n)) for n in (4, 5)]
+    + [(f"D{n}", coxeter(n, chain(n - 1) + [(n - 2, n, 3)]), 2 ** (n - 1) * factorial(n))
+       for n in (4, 5, 6)]
+    + [(f"dyck(2,2,{n})", von_dyck(2, 2, n), 2 * n) for n in (2, 3, 7, 12)]
+    + [(f"dyck(2,3,{r})", von_dyck(2, 3, r), order)
+       for r, order in [(2, 6), (3, 12), (4, 24), (5, 60)]]
+)
+
+
+@pytest.mark.parametrize("name,p,order", PINNED, ids=[c[0] for c in PINNED])
+def test_pinned_orders(name, p, order):
+    assert coset_enumerate(p, bound=4 * order) == order
+
+
+@pytest.mark.parametrize("name,p,order", PINNED, ids=[c[0] for c in PINNED])
+def test_bound_below_order_is_refused(name, p, order):
+    # every coset of a complete table is defined, so half the order
+    # can never suffice
+    with pytest.raises(CosetBoundExceeded):
+        coset_enumerate(p, bound=order // 2)
+
+
+@pytest.mark.parametrize("text,order", [
+    ("gens=1; rel=-1^2", 2),
+    ("gens=1; rel=1^2", 2),
+    ("gens=1; rel=1", 1),
+    # S3 with the involution a also inverted: a b a^-1 = b^-1
+    ("gens=2; rel=-1^2; rel=2^3; rel=1 * 2 * 1^-1 * 2", 6),
+    ("gens=2; rel=1^2; rel=2^3; rel=(-2 -1)^2", 6),
+    ("gens=2; rel=1^2; rel=-2^2; rel=(1 2)^2", 4),
+])
+def test_involution_edge_cases(text, order):
+    assert coset_enumerate(parse_presentation(text)) == order
+
+
+def test_bound_counts_every_coset_defined():
+    # Z/2 and Z/7 define exactly their elements, coset 1 included
+    p = parse_presentation("gens=1; rel=1^2")
+    assert coset_enumerate(p, bound=2) == 2
+    with pytest.raises(CosetBoundExceeded):
+        coset_enumerate(p, bound=1)
+    p = parse_presentation("gens=1; rel=1^7")
+    assert coset_enumerate(p, bound=7) == 7
+    with pytest.raises(CosetBoundExceeded):
+        coset_enumerate(p, bound=6)
+    # the infinite dihedral group <a, b | a^2, b^2>
+    with pytest.raises(CosetBoundExceeded):
+        coset_enumerate(parse_presentation("gens=2; rel=1^2; rel=-2^2"), bound=500)
+
+
+def _sympy_order(ngens, rels):
+    """The order from sympy's own Todd-Coxeter over the trivial subgroup.
+
+    FpGroup.order() is not used: on some random presentations its
+    shortcuts raise IndexError (a relator that reduces to 1), recurse
+    without end, or run for seconds."""
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *gens = free_group(" ".join(f"x{k}" for k in range(1, ngens + 1)))
+    words = []
+    for rel in rels:
+        word = free.identity
+        for g in rel:
+            word *= gens[abs(g) - 1] ** (1 if g > 0 else -1)
+        if word != free.identity:
+            words.append(word)
+    table = FpGroup(free, words).coset_enumeration([], max_cosets=20_000)
+    table.compress()
+    return len(table.table)
+
+
+def test_orders_agree_with_sympy():
+    rng = random.Random("fpgroups vs sympy")
+    compared = 0
+    for _ in range(60):
+        ngens = rng.randint(1, 3)
+        rels = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:          # an involution, g g or -g -g
+                g = rng.randint(1, ngens) * rng.choice((1, -1))
+                rels.append((g, g))
+            else:
+                rels.append(tuple(rng.randint(1, ngens) * rng.choice((1, -1))
+                                  for _ in range(rng.randint(1, 8))))
+        try:
+            order = coset_enumerate(Presentation(ngens, tuple(rels)), bound=200)
+        except CosetBoundExceeded:
+            continue
+        assert order == _sympy_order(ngens, rels), (ngens, rels)
+        compared += 1
+    assert compared >= 25
+
+
+def test_bench_tracer_sees_the_enumerator(monkeypatch):
+    # the traced benchmark run patches these names; a rewrite that drops
+    # one would silently empty the fpgroups metrics
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from bench.tracing import Tracer, instrument
+    from delpezzo import fpgroups
+
+    tracer = Tracer()
+    instrument(tracer)
+    try:
+        assert fpgroups.coset_enumerate(mumford_presentation(8)) == 120
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["fpgroups.coset_enumerate"][0] == 1
+    defined = tracer.counts["fpgroups.cosets_defined"]
+    coincidences = tracer.counts["fpgroups.coincidences"]
+    assert defined > 120 and coincidences > 0
+    assert defined - coincidences == 120       # each coincidence kills a coset
 
 
 @pytest.mark.parametrize("i,order", [(4, 5), (5, 12), (6, 24), (7, 48), (8, 120)])
