@@ -175,6 +175,8 @@ def _load_curve_config(path: str) -> lattice.CurveConfig:
 
     try:
         data = json.loads(_read_maybe_file(path))
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
         return lattice.CurveConfig.from_json(data)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise SystemExit2(f"bad curve configuration: {exc}") from None

@@ -35,7 +35,8 @@ def euler_phi(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (coefficient lists, low degree first)
+# dense polynomial helpers over Z and Q (coefficient lists, low degree
+# first); the surfaces solver uses these too
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p):
@@ -69,6 +70,14 @@ def _poly_divmod(a, b):
                 a[deg + i] -= lead * bi
         _poly_trim(a)
     return _poly_trim(q), a
+
+
+def _poly_gcd(a, b):
+    """Monic gcd over Q; [] when both are zero."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a]
 
 
 @lru_cache(maxsize=None)
@@ -331,6 +340,9 @@ class CyclotomicNumber:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def is_one(self) -> bool:
         return (self - 1).is_zero()

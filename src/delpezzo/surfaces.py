@@ -13,19 +13,23 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from .cyclotomic import (CyclotomicNumber, _poly_divmod, _poly_gcd, _poly_trim,
+                         cyclotomic_polynomial)
 from .lattice import config_rank
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials: dict {exponent tuple: Fraction}
+# multivariate polynomials: dict {exponent tuple: coefficient}
+#
+# Coefficients are Fractions or CyclotomicNumbers; both take plain
+# operators with each other, and both are false exactly when zero.
 # ---------------------------------------------------------------------------
 
 
 def poly_clean(terms):
-    return {e: c for e, c in terms.items() if c != 0}
+    return {e: c for e, c in terms.items() if c}
 
 
 def poly_add(a, b):
@@ -66,19 +70,18 @@ def poly_substitute(a, i, value):
     """
     out = {}
     for e, c in a.items():
-        coeff = c * value ** e[i] if e[i] else c
+        if e[i]:
+            c = c * value ** e[i]
         ne = e[:i] + e[i + 1:]
-        if ne in out:
-            out[ne] = out[ne] + coeff
-        else:
-            out[ne] = coeff
-    return {e: c for e, c in out.items() if not _is_zero(c)}
+        out[ne] = out[ne] + c if ne in out else c
+    return poly_clean(out)
 
 
-def _is_zero(c):
-    if isinstance(c, CyclotomicNumber):
-        return c.is_zero()
-    return c == 0
+def poly_specialize(a, values):
+    """Substitute values[i] for each variable i in values, dropping them."""
+    for i in sorted(values, reverse=True):
+        a = poly_substitute(a, i, values[i])
+    return a
 
 
 def poly_eval(a, values):
@@ -159,28 +162,38 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
     names, weights = [], []
     for decl in header[len("vars "):].split():
         name, _, w = decl.partition(":")
+        if name in names:
+            raise ValueError(f"duplicate variable {name!r}")
         names.append(name)
         weights.append(int(w) if w else 1)
     index = {n: i for i, n in enumerate(names)}
     nvars = len(names)
+    if re.search(r"\^\s*-", expr):
+        raise ValueError("exponents must be nonnegative integers")
+
+    tokens = _TERM_RE.findall(expr)
+    if tokens and tokens[-1] in "+-":
+        raise ValueError(f"missing term after the final {tokens[-1]!r}")
 
     terms = {}
     sign = 1
     pending = True
-    for tok in _TERM_RE.findall(expr):
+    for tok in tokens:
         if tok == "+":
             sign, pending = 1, True
             continue
         if tok == "-":
-            sign, pending = -sign if not pending else -1, True
+            sign, pending = -sign if pending else -1, True
             continue
         if not pending:
             raise ValueError(f"missing operator before {tok!r}")
         coeff = Fraction(sign)
         expo = [0] * nvars
         for factor in tok.split("*"):
-            base, _, power = factor.partition("^")
-            power = int(power) if power else 1
+            base, caret, power = factor.partition("^")
+            if caret and not power:
+                raise ValueError(f"missing exponent after {base}^")
+            power = int(power) if caret else 1
             if base in index:
                 expo[index[base]] += power
             elif base in params:
@@ -233,52 +246,26 @@ class Indeterminate:
         return f"Indeterminate({'; '.join(self.factors)})"
 
 
-def _univ_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        lead = a[-1] / b[-1]
-        deg = len(a) - len(b)
-        q[deg] = lead
-        for i, bi in enumerate(b):
-            a[deg + i] -= lead * bi
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+UNDERDETERMINED = "underdetermined system (positive-dimensional)"
 
 
-def _univ_gcd(a, b):
-    a, b = list(a), list(b)
-    while b and any(b):
-        _, r = _univ_divmod(a, b)
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _divisors(n):
+    """The positive divisors of a nonzero integer, ascending."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def rational_roots(coeffs):
-    """All rational roots of a polynomial with Fraction coefficients."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    """All rational roots of a polynomial with Fraction coefficients, in
+    the order of the divisors of its constant and leading coefficients."""
+    coeffs = _poly_trim(list(coeffs))
     if not coeffs:
         raise ValueError("zero polynomial has every root")
-    roots = []
     # strip zero roots
-    zero_mult = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        zero_mult += 1
-    if zero_mult:
-        roots.append(Fraction(0))
+    low = next(i for i, c in enumerate(coeffs) if c)
+    roots = [Fraction(0)] if low else []
+    coeffs = coeffs[low:]
     if len(coeffs) <= 1:
         return roots
     # clear denominators -> integer polynomial
@@ -286,68 +273,52 @@ def rational_roots(coeffs):
     for c in coeffs:
         lcm = math.lcm(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
-    lead, const = ints[-1], ints[0]
-
-    def divisors(n):
-        n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out
-
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and sum(c * cand ** i for i, c in enumerate(ints)) == 0:
-                    roots.append(cand)
+    deg = len(ints) - 1
+    # p/q in lowest terms is a root iff sum c_i p^i q^(deg-i) = 0
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            if math.gcd(p, q) != 1:
+                continue
+            for cand in (p, -p):
+                if not sum(c * cand ** i * q ** (deg - i) for i, c in enumerate(ints)):
+                    roots.append(Fraction(cand, q))
     return roots
 
 
 def cyclotomic_factor_roots(coeffs, max_order: int = 24):
     """Roots of unity appearing as roots: peel off cyclotomic factors Phi_d."""
-    coeffs = list(coeffs)
     roots = []
     for d in range(1, max_order + 1):
-        phi = [Fraction(c) for c in cyclotomic_polynomial(d)]
+        phi = cyclotomic_polynomial(d)
+        found = False
         while len(coeffs) >= len(phi):
-            q, r = _univ_divmod(coeffs, phi)
-            if any(r):
+            q, r = _poly_divmod(coeffs, phi)
+            if r:
                 break
-            coeffs = q
-            for k in range(d):
-                if math.gcd(k, d) == 1 or (k == 0 and d == 1):
-                    root = CyclotomicNumber.zeta(d, k)
-                    if not any(_cyc_eq(root, s) for s in roots):
-                        roots.append(root)
+            coeffs, found = q, True
+        if found:
+            roots += [CyclotomicNumber.zeta(d, k) for k in range(d) if math.gcd(k, d) == 1]
     return roots, coeffs
-
-
-def _cyc_eq(a, b):
-    if isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber):
-        return (CyclotomicNumber._coerce(a) - CyclotomicNumber._coerce(b)).is_zero()
-    return a == b
 
 
 def univariate_roots(coeffs, name="t"):
     """(roots, leftover) where roots are Fractions or CyclotomicNumbers and
     leftover is None or a residual-factor description string."""
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
+    work = _poly_trim([Fraction(c) for c in coeffs])
+    if not work:
         raise ValueError("zero polynomial")
-    roots = []
-    work = list(coeffs)
-    for r in rational_roots(work):
-        roots.append(r)
+    roots = rational_roots(work)
+    for r in roots:
         while True:
-            q, rem = _univ_divmod(work, [-r, Fraction(1)])
-            if any(rem):
+            q, rem = _poly_divmod(work, [-r, 1])
+            if rem:
                 break
             work = q
     extra, work = cyclotomic_factor_roots(work)
     roots.extend(extra)
     leftover = None
     if len(work) > 1:
-        leftover = poly_str({(i,): c for i, c in enumerate(work) if c != 0}, (name,))
+        leftover = poly_str({(i,): c for i, c in enumerate(work) if c}, (name,))
     return roots, leftover
 
 
@@ -360,12 +331,8 @@ def sylvester_resultant(p, q, var, nvars):
         deg = max((e[var] for e in poly), default=0)
         out = [{} for _ in range(deg + 1)]
         for e, c in poly.items():
-            ne = list(e)
-            k = ne[var]
-            ne[var] = 0
-            key = tuple(ne)
-            out[k][key] = out[k].get(key, Fraction(0)) + c
-        return [poly_clean(x) for x in out]
+            out[e[var]][e[:var] + (0,) + e[var + 1:]] = c
+        return out
 
     a = coeffs_in(p)
     b = coeffs_in(q)
@@ -417,17 +384,15 @@ def solve_system(equations, nvars, nonzero=True, _depth=0):
     Returns (solutions, leftovers): solutions are tuples of Fraction /
     CyclotomicNumber values; a nonempty leftovers list means Indeterminate.
     """
-    equations = [poly_clean(e) for e in equations]
-    equations = [e for e in equations if e]
-    for e in equations:
-        if list(e.keys()) == [tuple([0] * nvars)]:
-            return [], []          # nonzero constant: no solution
+    equations = [e for e in map(poly_clean, equations) if e]
+    if any(set(e) == {(0,) * nvars} for e in equations):
+        return [], []          # nonzero constant: no solution
     if nvars == 0:
         return [()], []
     if _depth > 12:
         return [], ["elimination depth exceeded"]
     if not equations:
-        return [], ["underdetermined system (positive-dimensional)"]
+        return [], [UNDERDETERMINED]
 
     # variables actually present
     present = [i for i in range(nvars)
@@ -435,137 +400,78 @@ def solve_system(equations, nvars, nonzero=True, _depth=0):
     if not present:
         return [], ["no variables left in nonzero equations"]
     var = present[-1]
-
-    def univ_in(eq, v):
-        return all(all(x == 0 for j, x in enumerate(e) if j != v) for e in eq)
-
     with_var = [eq for eq in equations if any(e[var] for e in eq)]
     without = [eq for eq in equations if not any(e[var] for e in eq)]
 
-    # reduce the with_var set to one polynomial via gcd (univariate case)
-    # or resultants (multivariate case)
-    if all(univ_in(eq, var) for eq in with_var) and not without and len(present) == 1:
-        g = None
-        for eq in with_var:
-            coeffs = _project_univ(eq, var)
-            g = coeffs if g is None else _univ_gcd(g, coeffs)
-        if len(g) <= 1:
-            return ([], []) if g else ([], ["zero gcd"])
-        roots, leftover = univariate_roots(g)
-        sols = []
-        for r in roots:
-            if nonzero and _is_zero(r):
-                continue
-            sols.append(_embed_value(r, var, nvars, ()))
-        return sols, ([leftover] if leftover else [])
+    if len(present) == 1:
+        # univariate: the roots of the gcd, the other variables are free
+        roots, leftovers = _common_roots([_univ_coeffs(eq, var) for eq in with_var], nonzero)
+        if roots and nvars > 1:
+            return [], leftovers + [UNDERDETERMINED]
+        return [(r,) for r in roots], leftovers
 
+    # eliminate var by resultants against the first equation that has it
     if len(with_var) >= 2:
-        base = with_var[0]
-        eliminated = list(without)
-        for other in with_var[1:]:
-            res = sylvester_resultant(base, other, var, nvars)
-            eliminated.append(res)
+        eliminated = without + [sylvester_resultant(with_var[0], other, var, nvars)
+                                for other in with_var[1:]]
         if not any(eliminated):
             return [], ["resultants all vanished (shared factor)"]
-        sub_sols, leftovers = solve_system(
-            [_drop_var(e, var) for e in eliminated], nvars - 1, nonzero, _depth + 1)
     elif without:
-        sub_sols, leftovers = solve_system(
-            [_drop_var(e, var) for e in without], nvars - 1, nonzero, _depth + 1)
+        eliminated = without
     else:
         # single equation in several variables: positive-dimensional
-        return [], ["underdetermined system (positive-dimensional)"]
+        return [], [UNDERDETERMINED]
+    # var does not occur in eliminated, so the value substituted is immaterial
+    sub_sols, leftovers = solve_system(
+        [poly_substitute(e, var, 0) for e in eliminated], nvars - 1, nonzero, _depth + 1)
 
+    others = [i for i in range(nvars) if i != var]
     solutions = []
     for partial in sub_sols:
-        specialized = []
-        for eq in with_var:
-            spec = eq
-            for j, value in zip([i for i in range(nvars) if i != var], partial):
-                spec = _substitute_keepdims(spec, j, value)
-            specialized.append(spec)
-        g = None
-        bad = False
-        for spec in specialized:
-            coeffs = _project_univ(spec, var)
-            if any(isinstance(c, CyclotomicNumber) and not c.is_rational()
-                   for c in coeffs):
-                leftovers.append("irrational specialization")
-                bad = True
-                break
-            coeffs = [c.as_rational() if isinstance(c, CyclotomicNumber) else c
-                      for c in coeffs]
-            g = coeffs if g is None else _univ_gcd(g, [Fraction(c) for c in coeffs])
-        if bad:
+        values = dict(zip(others, partial))
+        coeffs = [[_rational(c) for c in _univ_coeffs(poly_specialize(eq, values), 0)]
+                  for eq in with_var]
+        if any(c is None for cs in coeffs for c in cs):
+            leftovers.append("irrational specialization")
             continue
-        g = [Fraction(c) for c in g]
-        if not g:
-            leftovers.append("free variable after specialization")
-            continue
-        if len(g) == 1:
-            continue          # no root extends this partial solution
-        roots, leftover = univariate_roots(g)
-        if leftover:
-            leftovers.append(leftover)
+        roots, left = _common_roots(coeffs, nonzero)
+        leftovers += left
         for r in roots:
-            if nonzero and _is_zero(r):
-                continue
-            candidate = _embed_value(r, var, nvars, partial)
-            if _verify(equations, candidate):
+            candidate = partial[:var] + (r,) + partial[var:]
+            if not any(poly_eval(eq, candidate) for eq in equations):
                 solutions.append(candidate)
     return solutions, leftovers
 
 
-def _project_univ(eq, var):
-    deg = max((e[var] for e in eq), default=0)
-    out = [Fraction(0)] * (deg + 1)
+def _univ_coeffs(eq, var):
+    """Coefficient list, low degree first, of eq in which only variable var
+    occurs; [0] for the zero polynomial."""
+    out = [Fraction(0)] * (max((e[var] for e in eq), default=0) + 1)
     for e, c in eq.items():
-        if all(x == 0 for j, x in enumerate(e) if j != var):
-            out[e[var]] = out[e[var]] + c if not isinstance(c, CyclotomicNumber) else c + out[e[var]]
-        else:
-            raise ValueError("not univariate")
+        out[e[var]] = c
     return out
 
 
-def _drop_var(eq, var):
-    out = {}
-    for e, c in eq.items():
-        if e[var] != 0:
-            raise ValueError("variable still present")
-        ne = e[:var] + e[var + 1:]
-        out[ne] = out.get(ne, Fraction(0)) + c
-    return poly_clean(out)
+def _rational(c):
+    """c as a Fraction, or None for an irrational cyclotomic number: the
+    one place where the solver leaves Q."""
+    return c.as_rational() if isinstance(c, CyclotomicNumber) else c
 
 
-def _substitute_keepdims(eq, i, value):
-    """Substitute keeping the exponent-tuple arity (slot i becomes 0)."""
-    out = {}
-    for e, c in eq.items():
-        coeff = c * value ** e[i] if e[i] else c
-        ne = list(e)
-        ne[i] = 0
-        key = tuple(ne)
-        out[key] = coeff + out[key] if key in out else coeff
-    return {e: c for e, c in out.items() if not _is_zero(c)}
-
-
-def _embed_value(value, var, nvars, partial):
-    out = []
-    k = 0
-    for i in range(nvars):
-        if i == var:
-            out.append(value)
-        else:
-            out.append(partial[k])
-            k += 1
-    return tuple(out)
-
-
-def _verify(equations, values):
-    for eq in equations:
-        if not _is_zero(poly_eval(eq, values)):
-            return False
-    return True
+def _common_roots(polys, nonzero):
+    """(roots, leftovers) of the gcd of rational coefficient lists.  The
+    first list stays as it is when it is alone, so that the roots come in
+    the order its own coefficients give."""
+    g = polys[0]
+    for other in polys[1:]:
+        g = _poly_gcd(g, other)
+    g = _poly_trim(list(g))
+    if not g:
+        return [], ["free variable after specialization"]
+    if len(g) == 1:
+        return [], []
+    roots, leftover = univariate_roots(g)
+    return [r for r in roots if r or not nonzero], [leftover] if leftover else []
 
 
 # ---------------------------------------------------------------------------
@@ -587,39 +493,23 @@ def cone_singular_points(f: WeightedPoly):
     leftovers = []
     for support in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(1, n + 1)):
-        support = list(support)
-        pivot = support[0]
-        free = support[1:]
-        eqs = []
-        for eq in system:
-            spec = dict(eq)
-            for i in range(n):
-                if i not in support:
-                    spec = _substitute_keepdims(spec, i, Fraction(0))
-            spec = _substitute_keepdims(spec, pivot, Fraction(1))
-            # compress to the free variables only
-            comp = {}
-            for e, c in spec.items():
-                key = tuple(e[i] for i in free)
-                comp[key] = c + comp[key] if key in comp else c
-            comp = {e: c for e, c in comp.items() if not _is_zero(c)}
-            eqs.append(comp)
-        sols, left = solve_system(eqs, len(free), nonzero=True)
+        pivot, free = support[0], support[1:]
+        # off the support the coordinates are 0; scale the pivot to 1
+        values = {i: Fraction(0) for i in range(n) if i not in support}
+        values[pivot] = Fraction(1)
+        sols, left = solve_system([poly_specialize(eq, values) for eq in system],
+                                  len(free), nonzero=True)
         leftovers.extend(left)
         for sol in sols:
             point = [Fraction(0)] * n
             point[pivot] = Fraction(1)
             for i, v in zip(free, sol):
                 point[i] = v
-            if not any(_points_equal(point, p) for p in points):
+            if tuple(point) not in points:
                 points.append(tuple(point))
     if leftovers:
         return Indeterminate(sorted(set(leftovers)))
     return points
-
-
-def _points_equal(a, b):
-    return all(_cyc_eq(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -637,70 +527,40 @@ def germ_classify(f_terms, point):
 
     Smooth / Node (A1) / Cusp (A2) by the 3-jet; anything degenerate is
     reported as Other, never guessed."""
-    if not _is_zero(poly_eval(f_terms, point)):
+    if poly_eval(f_terms, point):
         raise ValueError("the point must lie on the curve")
     # shift the point to the origin: substitute x -> x + p
     shifted = _shift_to_origin(f_terms, point)
-    grad = [shifted.get((1, 0), Fraction(0)), shifted.get((0, 1), Fraction(0))]
-    if not all(_is_zero(g) for g in grad):
+    if (1, 0) in shifted or (0, 1) in shifted:
         return GERM_SMOOTH
-    a = shifted.get((2, 0), Fraction(0))
-    b = shifted.get((1, 1), Fraction(0))
-    c = shifted.get((0, 2), Fraction(0))
-    hess_det = 4 * a * c - b * b if not isinstance(a, CyclotomicNumber) else a * c * 4 - b * b
-    quad_zero = all(_is_zero(x) for x in (a, b, c))
-    if not _is_zero(hess_det):
+    a, b, c = (shifted.get(e, Fraction(0)) for e in ((2, 0), (1, 1), (0, 2)))
+    if 4 * a * c - b * b:
         return GERM_NODE
-    if quad_zero:
-        return GERM_OTHER
-    # Hessian rank 1: kernel direction of [[2a, b], [b, 2c]]
-    if not _is_zero(a):
-        kern = (_neg(b), _two(a))       # (-b, 2a)
-    elif not _is_zero(c):
-        kern = (_two(c), _neg(b))       # (2c, -b)
+    # Hessian rank 1: kernel direction of [[2a, b], [b, 2c]]; a = c = 0
+    # would leave b = 0 too, a zero quadratic part
+    if a:
+        kern = (-b, 2 * a)
+    elif c:
+        kern = (2 * c, -b)
     else:
-        # a = c = 0, b != 0 would make det nonzero; unreachable
         return GERM_OTHER
-    cubic = Fraction(0)
-    for (i, j), coeff in shifted.items():
-        if i + j == 3:
-            cubic = coeff * kern[0] ** i * kern[1] ** j + cubic
-    return GERM_CUSP if not _is_zero(cubic) else GERM_OTHER
-
-
-def _neg(x):
-    return -x
-
-
-def _two(x):
-    return x * 2 if isinstance(x, CyclotomicNumber) else 2 * x
+    cubic = sum(coeff * kern[0] ** i * kern[1] ** j
+                for (i, j), coeff in shifted.items() if i + j == 3)
+    return GERM_CUSP if cubic else GERM_OTHER
 
 
 def _shift_to_origin(f_terms, point):
-    x = {(1, 0): Fraction(1), (0, 0): point[0]}
-    y = {(0, 1): Fraction(1), (0, 0): point[1]}
-    x = {e: c for e, c in x.items() if not _is_zero(c)}
-    y = {e: c for e, c in y.items() if not _is_zero(c)}
+    x = poly_clean({(1, 0): Fraction(1), (0, 0): point[0]})
+    y = poly_clean({(0, 1): Fraction(1), (0, 0): point[1]})
     out = {}
     for (i, j), c in f_terms.items():
         term = {(0, 0): c}
         for _ in range(i):
-            term = _cpoly_mul(term, x)
+            term = poly_mul(term, x)
         for _ in range(j):
-            term = _cpoly_mul(term, y)
-        for e, v in term.items():
-            out[e] = v + out[e] if e in out else v
-    return {e: c for e, c in out.items() if not _is_zero(c)}
-
-
-def _cpoly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1])
-            v = ca * cb
-            out[e] = v + out[e] if e in out else v
-    return {e: c for e, c in out.items() if not _is_zero(c)}
+            term = poly_mul(term, y)
+        out = poly_add(out, term)
+    return out
 
 
 # ---------------------------------------------------------------------------

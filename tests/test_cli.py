@@ -9,6 +9,7 @@ import pytest
 from delpezzo.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("quotient_golden.json").read_text())
+SURFACES_GOLDEN = json.loads(Path(__file__).with_name("surfaces_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -191,6 +192,14 @@ def test_recognize_and_blowdown(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["[1]", "5", '"C"', "null"])
+def test_curve_config_not_an_object_exits_2(capsys, text):
+    assert main(["blowdown", "--config", text, "--curve", "C"]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+    assert main(["recognize", "--config", text]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_wps_singular(capsys):
     code, out = run(capsys, "wps", "--poly",
                     "vars X:1 Y:1 Z:2 W:3\nW^2 + Z^3 + X^5*Y + a*X^4*Z",
@@ -202,6 +211,42 @@ def test_wps_singular(capsys):
 
 def test_wps_bad_param(capsys):
     assert main(["wps", "--poly", "vars X:1\nX", "--param", "oops"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "vars X:1 Y:1\nX^-1*Y + X",       # negative exponent
+    "vars X:1 Y:1\nY^ + X",           # dangling '^'
+    "vars X:1 X:2\nX",                # duplicate variable
+    "vars X:1 Y:1\nX + Y -",          # no term after the last operator
+])
+def test_wps_bad_polynomial_exits_2(capsys, text):
+    assert main(["wps", "--poly", text]) == 2
+    assert capsys.readouterr().err.startswith("error: bad polynomial: ")
+
+
+def test_wps_minus_after_negative_term(capsys):
+    # -Y (X^2 + Z^2): the points off Y = 0 are X = 1, Z = +-i
+    code, out = run(capsys, "wps", "--poly", "vars X:1 Y:1 Z:1\n-X^2*Y - Y*Z^2",
+                    "--singular")
+    assert code == 0
+    assert out["poly"] == "-X^2*Y - Y*Z^2"
+    assert out["singular_points"] == [["0", "1", "0"], ["1", "0", "zeta(1/4)"],
+                                      ["1", "0", "zeta(3/4)"]]
+
+
+def test_wps_one_free_variable_left_is_indeterminate(capsys):
+    code, out = run(capsys, "wps", "--poly", "vars X:1 Y:1 Z:1 W:1\nW*X^3 + W*Y^3",
+                    "--singular")
+    assert code == 1
+    assert "underdetermined system (positive-dimensional)" in out["indeterminate"]
+
+
+@pytest.mark.parametrize("case", SURFACES_GOLDEN,
+                         ids=lambda c: c["argv"][0] + ":" + c["argv"][2].partition("\n")[2][:24])
+def test_surfaces_golden_stdout(capsys, case):
+    # the whole answer byte for byte, singular points in the solver's order
+    assert main(case["argv"]) == case["rc"]
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_germ(capsys):

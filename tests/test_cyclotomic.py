@@ -6,6 +6,7 @@ from delpezzo.cyclotomic import (
     ConductorCapExceeded,
     CyclotomicNumber,
     RootOfUnity,
+    _poly_gcd,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -22,6 +23,24 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    from sympy import cyclotomic_poly
+
+    for m in range(1, 121):
+        expected = cyclotomic_poly(m, polys=True).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial(m)) == [int(c) for c in expected], m
+
+
+def test_poly_gcd_is_monic():
+    # gcd((x - 1)(x + 2), 3(x - 1)(x - 5)) = x - 1
+    a = [Fraction(-2), Fraction(1), Fraction(1)]
+    b = [Fraction(15), Fraction(-18), Fraction(3)]
+    assert _poly_gcd(a, b) == [-1, 1]
+    assert _poly_gcd(a, []) == [-2, 1, 1]
+    assert _poly_gcd([Fraction(0)], [Fraction(2), Fraction(4)]) == [Fraction(1, 2), 1]
+    assert _poly_gcd([], [0, 0]) == []
 
 
 class TestRootOfUnity:
@@ -62,6 +81,12 @@ class TestCyclotomicNumber:
         z3 = CyclotomicNumber.zeta(3)
         assert z6 == 1 + z3
         assert z6 * z6 * z6 == -1
+
+    def test_truth_value_is_nonzero(self):
+        assert not CyclotomicNumber.zero(12)
+        assert not CyclotomicNumber.zeta(3) + CyclotomicNumber.zeta(3, 2) + 1
+        assert CyclotomicNumber.zeta(5)
+        assert CyclotomicNumber.from_rational(Fraction(1, 3))
 
     def test_inverse(self):
         z = CyclotomicNumber.zeta(5) + 2

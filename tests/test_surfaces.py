@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,28 @@ class TestParsePoly:
         with pytest.raises(ValueError):
             parse("vars X:1\nX + b*X")  # unbound parameter
 
+    def test_minus_sets_the_sign(self):
+        f = parse("vars X:1 Y:1 Z:1\nX - Y - Z")
+        assert f.terms == {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): -1}
+        f = parse("vars X:1 Y:1\n-X - Y + -X*Y - -Y^2")
+        assert f.terms == {(1, 0): -1, (0, 1): -1, (1, 1): -1, (0, 2): 1}
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse("vars X:1 Y:1\nX^-1*Y + X")
+
+    def test_dangling_caret_rejected(self):
+        with pytest.raises(ValueError, match="missing exponent"):
+            parse("vars X:1 Y:1\nY^ + X")
+
+    def test_trailing_operator_rejected(self):
+        with pytest.raises(ValueError, match="missing term"):
+            parse("vars X:1 Y:1\nX + Y -")
+
+    def test_duplicate_variable_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            parse("vars X:1 X:2\nX")
+
 
 class TestQuasiHomogeneity:
     def test_za_surface(self):
@@ -60,12 +85,165 @@ class TestUnivariate:
         roots = S.univariate_roots([Fraction(1), Fraction(1), Fraction(1)])
         assert len(roots) == 2
 
+    def test_rational_roots_of_large_coefficients(self):
+        # (1000 t - 999)(t + 1000003): constant term about -10^9
+        coeffs = [Fraction(-999 * 1000003), Fraction(1000 * 1000003 - 999), Fraction(1000)]
+        start = time.perf_counter()
+        roots = S.rational_roots(coeffs)
+        assert time.perf_counter() - start < 0.5
+        assert roots == [Fraction(999, 1000), Fraction(-1000003)]
+        assert S.rational_roots([-10**7, 0, 10**4]) == []
+
+    def test_rational_roots_in_divisor_order(self):
+        # the order of the roots sets the order of the singular points that
+        # wps prints: candidates p/q by ascending divisors p of the constant
+        # term, then q of the leading one, +p/q before -p/q
+        rng = random.Random("rational roots order")
+        for _ in range(60):
+            coeffs = [Fraction(1)]
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.randint(1, 4), rng.randint(-6, 6)
+                coeffs = _times_linear(coeffs, Fraction(a), Fraction(b))
+            coeffs = [c * Fraction(rng.randint(1, 5), rng.randint(1, 5)) for c in coeffs]
+            assert S.rational_roots(coeffs) == _naive_rational_roots(coeffs), coeffs
+
     def test_resultant_detects_common_root(self):
         # p = x^2 - y^2 and q = x - y share the line x = y
         p = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
         q = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
         res = S.sylvester_resultant(p, q, 0, 2)
         assert all(c == 0 for c in res.values())
+
+
+class TestSolveSystem:
+    def test_free_variable_after_specialization(self):
+        # X*Y - Y = 0 = X - 1 holds on the line X = 1, Y free
+        eqs = [{(1, 1): Fraction(1), (0, 1): Fraction(-1)},
+               {(1, 0): Fraction(1), (0, 0): Fraction(-1)}]
+        assert S.solve_system(eqs, 2) == ([], ["free variable after specialization"])
+
+    def test_one_variable_left_of_several_is_underdetermined(self):
+        # (X - 2)(X - 3) = 0 with Y free
+        eqs = [{(2, 0): Fraction(1), (1, 0): Fraction(-5), (0, 0): Fraction(6)}]
+        assert S.solve_system(eqs, 2) == ([], [S.UNDERDETERMINED])
+
+    def test_finite_solutions(self):
+        # X = Y^2 and Y^2 = 4
+        eqs = [{(1, 0): Fraction(1), (0, 2): Fraction(-1)},
+               {(0, 2): Fraction(1), (0, 0): Fraction(-4)}]
+        assert S.solve_system(eqs, 2) == ([(4, 2), (4, -2)], [])
+
+
+def _times_linear(coeffs, a, b):
+    """coeffs * (a t + b), low degree first."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] += b * c
+        out[i + 1] += a * c
+    return out
+
+
+def _naive_rational_roots(coeffs):
+    """The rational root theorem by brute force over every divisor."""
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    roots = []
+    if coeffs[0] == 0:
+        roots.append(Fraction(0))
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+    if len(ints) == 1:
+        return roots
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and sum(c * cand ** i for i, c in enumerate(ints)) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def _cyclotomic_and_linear_product(rng):
+    """A product of rational linear factors and cyclotomic factors Phi_d,
+    d <= 24, with the distinct roots it has."""
+    from delpezzo.cyclotomic import cyclotomic_polynomial
+
+    coeffs, rational, orders = [Fraction(1)], set(), set()
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.randint(1, 4), rng.randint(-9, 9)
+        coeffs = _times_linear(coeffs, Fraction(a), Fraction(b))
+        rational.add(Fraction(-b, a))
+    for bound in (24, 12)[:rng.randint(1, 2)]:
+        d = rng.randint(3, bound)
+        phi = cyclotomic_polynomial(d)
+        out = [Fraction(0)] * (len(coeffs) + len(phi) - 1)
+        for i, c in enumerate(coeffs):
+            for j, p in enumerate(phi):
+                out[i + j] += c * p
+        coeffs = out
+        orders.add(d)
+    return coeffs, rational, orders
+
+
+def _complex_value(root):
+    from delpezzo.cyclotomic import CyclotomicNumber
+
+    if isinstance(root, CyclotomicNumber):
+        z = complex(math.cos(2 * math.pi / root.conductor), math.sin(2 * math.pi / root.conductor))
+        return sum(float(c) * z ** i for i, c in enumerate(root.coeffs))
+    return complex(root)
+
+
+def test_univariate_roots_match_sympy():
+    import sympy
+
+    t = sympy.Symbol("t")
+    rng = random.Random("univariate roots vs sympy")
+    for _ in range(10):
+        coeffs, rational, orders = _cyclotomic_and_linear_product(rng)
+        roots, leftover = S.univariate_roots(coeffs)
+        assert leftover is None
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                   for i, c in enumerate(coeffs))
+        expected = [complex(sympy.N(r, 30)) for r in sympy.roots(sympy.Poly(expr, t))]
+        ours = [_complex_value(r) for r in roots]
+        assert len(ours) == len(expected) == len(rational) + sum(
+            math.gcd(k, d) == 1 for d in orders for k in range(d))
+        for z in ours:
+            assert min(abs(z - w) for w in expected) < 1e-9, (coeffs, z)
+
+
+def test_sylvester_resultant_matches_sympy():
+    import sympy
+
+    names = sympy.symbols("x y z")
+    rng = random.Random("resultant vs sympy")
+
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            e = (rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 1))
+            terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        terms[(rng.randint(1, 3), 0, 0)] = Fraction(rng.choice([-2, -1, 1, 3]))
+        return S.poly_clean(terms)
+
+    def expr(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(v ** k for v, k in zip(names, e)))
+                   for e, c in poly.items())
+
+    for _ in range(15):
+        p, q = random_poly(), random_poly()
+        ours = S.sylvester_resultant(p, q, 0, 3)
+        assert all(e[0] == 0 for e in ours)
+        expected = sympy.resultant(expr(p), expr(q), names[0])
+        assert sympy.expand(expr(ours) - expected) == 0, (p, q)
 
 
 class TestSingularPoints:
@@ -77,6 +255,13 @@ class TestSingularPoints:
     def test_smooth_conic_cone(self):
         f = parse("vars X:1 Y:1 Z:1\nX*Y - Z^2")
         assert S.cone_singular_points(f) == []
+
+    def test_underdetermined_leftover_is_indeterminate(self):
+        # W (X^3 + Y^3) vanishes to second order along the line X = Y = 0
+        f = parse("vars X:1 Y:1 Z:1 W:1\nW*X^3 + W*Y^3")
+        out = S.cone_singular_points(f)
+        assert isinstance(out, S.Indeterminate)
+        assert S.UNDERDETERMINED in out.factors
 
     def test_nodal_cubic_cone(self):
         f = parse("vars X:1 Y:1 Z:1\nX*Y*Z")
