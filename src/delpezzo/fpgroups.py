@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 DEFAULT_COSET_BOUND = 10_000
+MAX_PRESENTATION_LETTERS = 100_000      # relator letters, after expanding powers
 
 
 class CosetBoundExceeded(RuntimeError):
@@ -68,6 +69,7 @@ _FACTOR_RE = re.compile(r"^(?:\((?P<word>[-\d\s]+)\)|(?P<gen>-?\d+))(?:\^(?P<exp
 def parse_presentation(text: str) -> Presentation:
     ngens = None
     relators = []
+    letters = 0
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -91,6 +93,10 @@ def parse_presentation(text: str) -> Presentation:
                 if exp < 0:
                     base = tuple(-g for g in reversed(base))
                     exp = -exp
+                letters += len(base) * exp
+                if letters > MAX_PRESENTATION_LETTERS:
+                    raise ValueError(f"relators expand to more than "
+                                     f"{MAX_PRESENTATION_LETTERS} letters")
                 word.extend(base * exp)
             relators.append(tuple(word))
         else:

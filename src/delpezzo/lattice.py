@@ -8,7 +8,7 @@ the intersection-matrix update rule for contracting a (-1)-curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 

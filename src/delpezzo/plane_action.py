@@ -2,8 +2,10 @@
 
 Group elements are monomial matrices (permutation times diagonal, with
 root-of-unity entries) considered up to a global scalar, i.e. as elements
-of PGL(3).  Everything downstream is exact: eigenvalues come cycle-wise
-as roots of unity, and every fixed point and pointwise-fixed line of a
+of PGL(3).  Each is stored in its projective normal form, with the first
+column's scalar divided out, so elements equal in PGL(3) compare and hash
+equal.  Everything downstream is exact: eigenvalues come cycle-wise as
+roots of unity, and every fixed point and pointwise-fixed line of a
 monomial element has coordinates in {0} and the roots of unity, so such
 points are stored as triples of exponents and moved, compared and hashed
 without field arithmetic.  Stabilizers are classified through
@@ -42,7 +44,9 @@ class GroupCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class MonomialMatrix:
-    """Matrix with entry scalars[j] at position (perm[j], j), zero elsewhere."""
+    """Matrix with entry scalars[j] at position (perm[j], j), zero elsewhere,
+    up to a global scalar: construction divides out scalars[0], so
+    scalars[0] is always 1."""
 
     perm: tuple
     scalars: tuple          # three RootOfUnity values
@@ -52,6 +56,9 @@ class MonomialMatrix:
             raise ActionError(f"perm {self.perm} is not a permutation of 0,1,2")
         if len(self.scalars) != 3:
             raise ActionError("exactly three scalars required")
+        s0 = self.scalars[0]
+        if not s0.is_one():
+            object.__setattr__(self, "scalars", tuple(s / s0 for s in self.scalars))
 
     @classmethod
     def identity(cls) -> "MonomialMatrix":
@@ -70,23 +77,17 @@ class MonomialMatrix:
         scalars = tuple(self.scalars[inv_perm[i]].inverse() for i in range(3))
         return MonomialMatrix(inv_perm, scalars)
 
-    def canonical(self) -> "MonomialMatrix":
-        """Projective normal form: divide out the first column's scalar."""
-        s0 = self.scalars[0]
-        return MonomialMatrix(self.perm, tuple(s / s0 for s in self.scalars))
-
     def is_identity(self) -> bool:
-        c = self.canonical()
-        return c.perm == (0, 1, 2) and all(s.is_one() for s in c.scalars)
+        return self.perm == (0, 1, 2) and all(s.is_one() for s in self.scalars)
 
     def order(self) -> int:
-        """Projective order (order in PGL(3))."""
-        power = self
-        for k in range(1, 721):
-            if power.is_identity():
-                return k
-            power = power * self
-        raise ActionError("element order exceeds sanity bound")
+        """Projective order (order in PGL(3)).
+
+        A finite-order matrix is diagonalizable, so g^k is scalar exactly
+        when its eigenvalues lambda_i^k agree: the order is the lcm of the
+        denominators of lambda_i - lambda_0."""
+        lams = [lam for lam, _ in eigen_data(self)]
+        return math.lcm(*(((lam - lams[0]) % 1).denominator for lam in lams[1:]))
 
     def apply(self, coords):
         """Image of a coordinate vector (list of CyclotomicNumber)."""
@@ -100,17 +101,7 @@ class MonomialMatrix:
         return MonomialMatrix(self.perm, tuple(s.inverse() for s in self.scalars))
 
     def sort_key(self):
-        c = self.canonical()
-        return (c.perm, tuple(s.exponent for s in c.scalars))
-
-    def to_json(self) -> dict:
-        return {"perm": list(self.perm), "scalars": [str(s) for s in self.scalars]}
-
-    def __str__(self):
-        rows = [["0"] * 3 for _ in range(3)]
-        for j in range(3):
-            rows[self.perm[j]][j] = f"z({self.scalars[j]})"
-        return "[" + "; ".join(" ".join(r) for r in rows) + "]"
+        return (self.perm, tuple(s.exponent for s in self.scalars))
 
 
 def parse_action(text: str):
@@ -156,8 +147,7 @@ def parse_action(text: str):
 
 @dataclass(frozen=True)
 class FiniteActionGroup:
-    generators: tuple
-    elements: tuple        # canonical projective forms, sorted
+    elements: tuple        # sorted by MonomialMatrix.sort_key
 
     @property
     def order(self) -> int:
@@ -167,22 +157,25 @@ class FiniteActionGroup:
         return [g for g in self.elements if not g.is_identity()]
 
 
-def close_group(gens, cap: int = GROUP_CAP) -> FiniteActionGroup:
-    gens = [g.canonical() for g in gens]
-    seen = {MonomialMatrix.identity().sort_key(): MonomialMatrix.identity()}
-    frontier = [MonomialMatrix.identity()]
+def _closure(gens, cap: int) -> set:
+    """The set of elements of the subgroup generated by gens: every product
+    of generators, found by search from the identity."""
+    seen = {MonomialMatrix.identity()}
+    frontier = list(seen)
     while frontier:
         current = frontier.pop()
         for g in gens:
-            nxt = (g * current).canonical()
-            key = nxt.sort_key()
-            if key not in seen:
+            nxt = g * current
+            if nxt not in seen:
                 if len(seen) >= cap:
                     raise GroupCapExceeded(cap)
-                seen[key] = nxt
+                seen.add(nxt)
                 frontier.append(nxt)
-    elements = tuple(seen[k] for k in sorted(seen))
-    return FiniteActionGroup(tuple(gens), elements)
+    return seen
+
+
+def close_group(gens, cap: int = GROUP_CAP) -> FiniteActionGroup:
+    return FiniteActionGroup(tuple(sorted(_closure(gens, cap), key=MonomialMatrix.sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,30 +511,10 @@ def _stabilizer(group: FiniteActionGroup, p: ProjectivePoint):
     return [g for g in group.elements if p.transformed(g) == p]
 
 
-def _subgroup_closure(elements):
-    """Closure (as canonical forms) of a set of group elements."""
-    seen = {g.sort_key(): g for g in elements}
-    frontier = list(seen.values())
-    while frontier:
-        x = frontier.pop()
-        for y in list(seen.values()):
-            for z in ((x * y).canonical(), (y * x).canonical()):
-                key = z.sort_key()
-                if key not in seen:
-                    seen[key] = z
-                    frontier.append(z)
-    return list(seen.values())
-
-
 def _abelianization_order(elements):
     """|H / [H,H]| for a finite group given as a list of elements."""
-    commutators = []
-    for x in elements:
-        for y in elements:
-            c = (x * y * x.inverse() * y.inverse()).canonical()
-            commutators.append(c)
-    derived = _subgroup_closure(commutators)
-    return len(elements) // len(derived)
+    commutators = {x * y * x.inverse() * y.inverse() for x in elements for y in elements}
+    return len(elements) // len(_closure(commutators, len(elements)))
 
 
 def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None):
@@ -556,10 +529,9 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
     if len(stab) == 1:
         raise ActionError(f"point {p} has trivial stabilizer")
     nontrivial = [g for g in stab if not g.is_identity()]
-    orders = {g.sort_key(): g.order() for g in nontrivial}
     n = len(stab)
     generator = next((g for g in sorted(nontrivial, key=MonomialMatrix.sort_key)
-                      if orders[g.sort_key()] == n), None)
+                      if g.order() == n), None)
     if generator is not None:
         # cyclic stabilizer: read 1/r(a,b) off the generator's tangent action
         t1, t2 = tangent_eigenvalues(generator, p)
@@ -573,8 +545,7 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
             return A(r2 - 1)
         return NonGorensteinCyclic(r2, a2, b2)
     # non-cyclic: decide whether the tangent representation lies in SL(2)
-    abelian = all((x * y).canonical().sort_key() == (y * x).canonical().sort_key()
-                  for x, y in itertools.combinations(nontrivial, 2))
+    abelian = all(x * y == y * x for x, y in itertools.combinations(nontrivial, 2))
     in_sl2 = True
     for g in nontrivial:
         t1, t2 = tangent_eigenvalues(g, p)

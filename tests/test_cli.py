@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,15 @@ def test_group_bound_exceeded(capsys, monkeypatch):
 def test_group_bad_presentation_json_exits_2(capsys, text):
     assert main(["group", "--presentation", text]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_group_long_relator_is_refused_fast(capsys):
+    start = time.perf_counter()
+    assert main(["group", "--presentation", "gens=1; rel=1^3000000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("error: bad presentation: ")
+    code, out = run(capsys, "group", "--presentation", "gens=1; rel=1^7")
+    assert code == 0 and out["order"] == 7
 
 
 def test_group_hom_below_1_exits_2(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo.fpgroups import (
+    MAX_PRESENTATION_LETTERS,
     CosetBoundExceeded,
     Presentation,
     abelianization,
@@ -37,6 +38,16 @@ def test_parse_rejects_garbage():
 def test_cyclic_group():
     p = parse_presentation("gens=1; rel=1^7")
     assert coset_enumerate(p) == 7
+
+
+def test_parse_caps_letters_before_expanding():
+    assert len(parse_presentation("gens=1; rel=1^100000").relators[0]) == MAX_PRESENTATION_LETTERS
+    with pytest.raises(ValueError, match="letters"):
+        parse_presentation("gens=1; rel=1^100001")
+    with pytest.raises(ValueError, match="letters"):         # the cap is per presentation
+        parse_presentation("gens=2; rel=(1 2)^30000; rel=2^-40001")
+    with pytest.raises(ValueError, match="letters"):
+        parse_presentation("gens=1; rel=1^" + "9" * 4000)
 
 
 def test_symmetric_group_s3():
