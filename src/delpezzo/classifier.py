@@ -79,7 +79,6 @@ K2_NOT_INTEGER = "K2NotInteger"
 RANK_MISMATCH = "RankMismatch"
 LOCAL_ORDER_UNREALIZABLE = "LocalOrderUnrealizable"
 EULER_MISMATCH = "EulerMismatch"
-NON_GORENSTEIN_FORCED = "NonGorensteinForced"
 
 
 @dataclass(frozen=True)

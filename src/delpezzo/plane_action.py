@@ -6,9 +6,9 @@ of PGL(3).  Each is stored in its projective normal form, with the first
 column's scalar divided out, so elements equal in PGL(3) compare and hash
 equal.  Everything downstream is exact: eigenvalues come cycle-wise as
 roots of unity, and every fixed point and pointwise-fixed line of a
-monomial element has coordinates in {0} and the roots of unity, so such
-points are stored as triples of exponents and moved, compared and hashed
-without field arithmetic.  Stabilizers are classified through
+monomial element has coordinates in {0} and the roots of unity, so
+points are triples of exponents, moved, compared and hashed without
+field arithmetic.  Stabilizers are classified through
 Hirzebruch-Jung reduction or the binary polyhedral dictionary, and the
 quotient's K^2 and singularity configuration are assembled with integer
 arithmetic throughout.
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, RootOfUnity, root_coordinates
+from .cyclotomic import RootOfUnity, root_coordinates
 from .lattice import A, D, E, DynkinType, config_sorted
 
 GROUP_CAP = 720
@@ -90,7 +90,8 @@ class MonomialMatrix:
         return math.lcm(*(((lam - lams[0]) % 1).denominator for lam in lams[1:]))
 
     def apply(self, coords):
-        """Image of a coordinate vector (list of CyclotomicNumber)."""
+        """Image of a coordinate vector of cyclotomic numbers: the field
+        reference that ProjectivePoint.transformed is checked against."""
         out = [None, None, None]
         for j in range(3):
             out[self.perm[j]] = coords[j] * self.scalars[j]
@@ -202,85 +203,42 @@ def _root_str(e) -> str:
     return f"zeta({e.numerator}/{e.denominator})"
 
 
-def _normalized(exps) -> tuple:
-    """Exponents rescaled so that the first nonzero coordinate is 1."""
-    lead = next((e for e in exps if e is not None), None)
-    if lead is None:
-        raise ActionError("all coordinates are zero")
-    return tuple(None if e is None else (e - lead) % 1 for e in exps)
-
-
 class ProjectivePoint:
-    """Point of P^2, scalar-normalized so the first nonzero coordinate is 1;
-    equal points have identical representations.
+    """Point of P^2 whose coordinates are 0 or roots of unity -- always the
+    case for the fixed points and line normals of monomial elements --
+    stored as the triple ``exps`` of exponents: a Fraction in [0, 1) for
+    zeta^e, None for 0.  Construction rescales so that the first nonzero
+    coordinate is 1, so equal points have identical triples."""
 
-    When every normalized coordinate is 0 or a root of unity -- always the
-    case for the fixed points and line normals of monomial elements -- the
-    point is the triple ``exps`` of exponents: a Fraction in [0, 1) for
-    zeta^e, None for 0.  Any other point keeps cyclotomic coordinates, each
-    in its minimal cyclotomic field, and ``exps`` is None."""
+    __slots__ = ("exps",)
 
-    __slots__ = ("exps", "ident", "_coords")
-
-    def __init__(self, coords):
-        coords = [CyclotomicNumber._coerce(c) for c in coords]
-        if len(coords) != 3:
+    def __init__(self, exps):
+        if len(exps) != 3:
             raise ActionError("a projective point needs three coordinates")
-        lead = next((c for c in coords if not c.is_zero()), None)
+        lead = next((e for e in exps if e is not None), None)
         if lead is None:
             raise ActionError("all coordinates are zero")
-        inv = lead.inverse()
-        coords = [c * inv for c in coords]
-        roots = [c.as_root_of_unity() for c in coords]
-        if all(r is not None or c.is_zero() for r, c in zip(roots, coords)):
-            self.exps = self.ident = tuple(None if r is None else r.exponent
-                                           for r in roots)
-            self._coords = None
-        else:
-            self._coords = tuple(c.reduce_conductor() for c in coords)
-            self.exps = None
-            self.ident = tuple((c.conductor, c.coeffs) for c in self._coords)
-
-    @classmethod
-    def _of(cls, exps) -> "ProjectivePoint":
-        """The point with these normalized exponents."""
-        p = object.__new__(cls)
-        p.exps = p.ident = exps
-        p._coords = None
-        return p
-
-    @property
-    def coords(self):
-        """The coordinates as CyclotomicNumbers."""
-        if self.exps is None:
-            return self._coords
-        return tuple(CyclotomicNumber(*_root_key(e)) for e in self.exps)
+        self.exps = tuple(None if e is None else (e - lead) % 1 for e in exps)
 
     def key(self):
         """Total order on points: minimal-field coordinates, compared as
         (conductor, coefficients)."""
-        if self.exps is None:
-            return self.ident
         return tuple(_root_key(e) for e in self.exps)
 
     def __eq__(self, other):
-        return isinstance(other, ProjectivePoint) and self.ident == other.ident
+        return isinstance(other, ProjectivePoint) and self.exps == other.exps
 
     def __hash__(self):
-        return hash(self.ident)
+        return hash(self.exps)
 
     def transformed(self, m: MonomialMatrix) -> "ProjectivePoint":
-        if self.exps is None:
-            return ProjectivePoint(m.apply(list(self.coords)))
         out = [None, None, None]
         for j, e in enumerate(self.exps):
             if e is not None:
                 out[m.perm[j]] = e + m.scalars[j].exponent
-        return ProjectivePoint._of(_normalized(out))
+        return ProjectivePoint(out)
 
     def __str__(self):
-        if self.exps is None:
-            return "[" + ", ".join(str(c) for c in self._coords) + "]"
         return "[" + ", ".join(_root_str(e) for e in self.exps) + "]"
 
     def __repr__(self):
@@ -300,24 +258,16 @@ def _vanishes(terms) -> bool:
 
 
 class Line:
-    """Line in P^2 stored by its normal vector (same normalization)."""
+    """Line in P^2 stored by its normal vector, a ProjectivePoint."""
 
     __slots__ = ("normal",)
 
-    def __init__(self, normal_coords):
-        if isinstance(normal_coords, ProjectivePoint):
-            self.normal = normal_coords
-        else:
-            self.normal = ProjectivePoint(normal_coords)
+    def __init__(self, normal: ProjectivePoint):
+        self.normal = normal
 
     def contains(self, p: ProjectivePoint) -> bool:
-        if self.normal.exps is not None and p.exps is not None:
-            return _vanishes([a + b for a, b in zip(self.normal.exps, p.exps)
-                              if a is not None and b is not None])
-        total = CyclotomicNumber.zero()
-        for a, b in zip(self.normal.coords, p.coords):
-            total = total + a * b
-        return total.is_zero()
+        return _vanishes([a + b for a, b in zip(self.normal.exps, p.exps)
+                          if a is not None and b is not None])
 
     def transformed(self, m: MonomialMatrix) -> "Line":
         return Line(self.normal.transformed(m.normal_action()))
@@ -336,6 +286,8 @@ class Line:
 
 
 def _cross(u, v):
+    """u x v over any ring: the field reference that _cross_point is checked
+    against."""
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0]]
@@ -345,15 +297,15 @@ def _cross_point(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
     """p x q: the line (normal) through two points, or the meet of two lines
     given by their normals.
 
-    With at most two nonzero coordinates in each factor -- as for fixed
-    points and fixed-line normals of monomial elements -- every entry of
-    the cross product has at most one nonzero term, except when p and q
-    have the same two-element support; then only that entry survives and
-    the product is a coordinate point."""
-    if p.exps is None or q.exps is None:
-        return ProjectivePoint(_cross(p.coords, q.coords))
+    Each factor must have a zero coordinate, as the eigenvectors of
+    diagonal elements and 2-cycles, and the fixed-line normals built from
+    them, do.  Then every entry of the cross product has at most one
+    nonzero term, except when p and q have the same two-element support;
+    then only that entry survives and the product is a coordinate point.
+    """
+    if None not in p.exps or None not in q.exps:
+        raise ActionError(f"cross product of {p} and {q}: a factor has no zero coordinate")
     out = []
-    mixed = False
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         terms = []
@@ -361,12 +313,10 @@ def _cross_point(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
             terms.append(p.exps[j] + q.exps[k])
         if p.exps[k] is not None and q.exps[j] is not None:
             terms.append(p.exps[k] + q.exps[j] + HALF)      # minus sign
-        if len(terms) == 2 and not _vanishes(terms):
-            terms, mixed = [Fraction(0)], True
-        out.append(terms[0] if len(terms) == 1 else None)
-    if mixed and sum(e is not None for e in out) > 1:
-        return ProjectivePoint(_cross(p.coords, q.coords))
-    return ProjectivePoint._of(_normalized(out))
+        if len(terms) == 2:
+            terms = [] if _vanishes(terms) else [Fraction(0)]
+        out.append(terms[0] if terms else None)
+    return ProjectivePoint(out)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +346,6 @@ def eigen_data(m: MonomialMatrix):
         rho = sum(m.scalars[j].exponent for j in cycle) % 1
         for t in range(c):
             lam = ((rho + t) / c) % 1
-            # start is the cycle's smallest index, so the vector is normalized
             exps = [None, None, None]
             exps[start] = value = Fraction(0)
             j = start
@@ -404,8 +353,8 @@ def eigen_data(m: MonomialMatrix):
                 # v[perm(j)] = scalars[j] * v[j] / lambda
                 value = value + m.scalars[j].exponent - lam
                 j = m.perm[j]
-                exps[j] = value % 1
-            pairs.append((lam, ProjectivePoint._of(tuple(exps))))
+                exps[j] = value
+            pairs.append((lam, ProjectivePoint(exps)))
     return pairs
 
 
@@ -437,13 +386,9 @@ def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
     point: the two other matrix eigenvalues divided by the one at p."""
     if p.transformed(g) != p:
         raise ActionError(f"point {p} is not fixed by the element")
-    if p.exps is not None:
-        # the coordinate of p that is 1 comes from column j, times scalars[j]
-        j = g.perm.index(p.exps.index(0))
-        lam = (p.exps[j] + g.scalars[j].exponent) % 1
-    else:
-        i = next(k for k in range(3) if not p.coords[k].is_zero())
-        lam = (g.apply(list(p.coords))[i] / p.coords[i]).as_root_of_unity().exponent
+    # the coordinate of p that is 1 comes from column j, times scalars[j]
+    j = g.perm.index(p.exps.index(0))
+    lam = (p.exps[j] + g.scalars[j].exponent) % 1
     values = [v for v, _ in eigen_data(g)]
     values.remove(lam)       # one copy only: multiplicity matters
     return (RootOfUnity(values[0] - lam), RootOfUnity(values[1] - lam))
@@ -635,8 +580,8 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     """Singularity configuration and K^2 of P^2 / G.
 
     Candidate points are the isolated fixed points of all non-identity
-    elements plus intersections of every pointwise-fixed line with the
-    other elements' fixed loci; candidates are grouped into orbits and
+    elements plus the meets of every pair of distinct pointwise-fixed
+    lines; candidates are grouped into orbits and
     classified; branch lines get their ramification index from the order
     of their pointwise stabilizer.
     """
@@ -652,15 +597,8 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
 
     # candidate points, in order of first appearance
     candidates = dict.fromkeys(p for loc in loci for p in loc.points)
-    for line in lines:
-        for loc in loci:
-            if loc.line == line:
-                continue
-            for p in loc.points:
-                if line.contains(p):
-                    candidates[p] = None
-            if loc.line is not None:
-                candidates[line.meet(loc.line)] = None
+    for l1, l2 in itertools.combinations(lines, 2):
+        candidates[l1.meet(l2)] = None
 
     # group candidates into orbits
     orbits = []

@@ -4,6 +4,7 @@ Each test prints a single "criterion N ...: PASS/FAIL" line (visible with
 pytest -s or in the captured output of a failing run).
 """
 
+import collections
 import math
 import random
 from contextlib import contextmanager
@@ -201,13 +202,46 @@ def test_criterion_8a_cyclotomic_axioms():
                 assert (b * b.inverse()).is_one()
 
 
+def _random_root(rng):
+    d = rng.choice([1, 2, 3, 4, 5, 6, 12])
+    return Fraction(rng.randrange(d), d)
+
+
+def _cyclotomic_coords(p):
+    """The coordinates of an exponent point as CyclotomicNumbers."""
+    return [CyclotomicNumber.zero() if e is None else RootOfUnity(e).to_cyclotomic()
+            for e in p.exps]
+
+
+def _random_point_on(rng, normal):
+    """A random point of the line normal . x = 0, with coordinates 0 or
+    roots of unity; normal has a zero coordinate, as fixed-line normals do."""
+    support = [k for k in range(3) if normal[k] is not None]
+    exps = [None if k in support else _random_root(rng) for k in range(3)]
+    if len(support) == 2 and rng.random() < 0.7:
+        # zeta^a x_i + zeta^b x_j = 0 holds for x_i = zeta^s, x_j = -zeta^(s + a - b)
+        i, j = support
+        s = _random_root(rng)
+        exps[i], exps[j] = s, s + normal[i] - normal[j] + Fraction(1, 2)
+    if all(e is None for e in exps):
+        exps[next(k for k in range(3) if k not in support)] = Fraction(0)
+    return P.ProjectivePoint(exps)
+
+
 def test_criterion_8b_fixed_points():
     with criterion("8b", "fixed loci are pointwise fixed, >=1000 cases"):
         rng = random.Random(802)
-        groups = {name: P.close_group(gens)
-                  for name, gens in P.builtin_actions().items()}
+        actions = dict(P.builtin_actions())
+        # a transposition with a scalar and the reflection diag(1, 1, -1):
+        # the elements that swap x0, x1 and scale x2 fix lines whose
+        # normals have two nonzero coordinates
+        actions["reflections"] = P.parse_action(
+            '[{"perm": [1, 0, 2], "scalars": ["0", "1/3", "0"]},'
+            ' {"perm": [0, 1, 2], "scalars": ["0", "0", "1/2"]}]')
+        groups = {name: P.close_group(gens) for name, gens in actions.items()}
         loci = {name: [(g, P.fixed_locus(g)) for g in grp.non_identity()]
                 for name, grp in groups.items()}
+        on_lines = collections.Counter()
         for _ in range(N_CASES):
             name = rng.choice(sorted(loci))
             g, loc = rng.choice(loci[name])
@@ -215,18 +249,18 @@ def test_criterion_8b_fixed_points():
             assert p.transformed(g) == p
             if loc.line is not None:
                 # a random point of the pointwise-fixed line is fixed too
-                n = loc.line.normal.coords
-                i = next(k for k in range(3) if not n[k].is_zero())
-                j, k = [x for x in range(3) if x != i]
-                cj = CyclotomicNumber.from_rational(Fraction(rng.randint(-5, 5)))
-                ck = CyclotomicNumber.from_rational(Fraction(rng.randint(-5, 5)))
-                coords = [None] * 3
-                coords[j], coords[k] = cj, ck
-                coords[i] = -(n[j] * cj + n[k] * ck) / n[i]
-                if any(not x.is_zero() for x in coords):
-                    q = P.ProjectivePoint(coords)
-                    assert loc.line.contains(q)
-                    assert q.transformed(g) == q
+                normal = loc.line.normal
+                assert None in normal.exps
+                q = _random_point_on(rng, normal.exps)
+                assert loc.line.contains(q)
+                coords = _cyclotomic_coords(q)
+                dot = sum((a * b for a, b in zip(_cyclotomic_coords(normal), coords)),
+                          CyclotomicNumber.zero())
+                assert dot.is_zero()
+                assert q.transformed(g) == q
+                assert all(c.is_zero() for c in P._cross(g.apply(coords), coords))
+                on_lines[3 - normal.exps.count(None)] += 1
+        assert on_lines[1] >= 100 and on_lines[2] >= 20
 
 
 def test_criterion_8c_orbit_sizes():
@@ -236,11 +270,10 @@ def test_criterion_8c_orbit_sizes():
                   sorted(P.builtin_actions().items())]
         for _ in range(N_CASES):
             grp = rng.choice(groups)
-            coords = [CyclotomicNumber.from_rational(
-                Fraction(rng.randint(-3, 3))) for _ in range(3)]
-            if all(c.is_zero() for c in coords):
-                coords[rng.randrange(3)] = CyclotomicNumber.from_rational(1)
-            p = P.ProjectivePoint(coords)
+            exps = [None if rng.random() < 0.3 else _random_root(rng) for _ in range(3)]
+            if all(e is None for e in exps):
+                exps[rng.randrange(3)] = Fraction(0)
+            p = P.ProjectivePoint(exps)
             orbit = {p.transformed(g) for g in grp.elements}
             assert grp.order % len(orbit) == 0
 

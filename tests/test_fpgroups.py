@@ -264,3 +264,30 @@ def test_hom_count_cyclic():
     assert hom_count_cyclic(p, 9) == 3
     # the icosahedral boundary group is perfect mod its Z/1 abelianization
     assert hom_count_cyclic(mumford_presentation(8), 5) == 1
+
+
+def test_smith_normal_form_matches_sympy_invariant_factors():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix
+
+    rng = random.Random(806)
+    singular = 0
+    for case in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if case % 3 == 0 and rows > 1:
+            # a row that is a combination of the others: the rank drops
+            a = rng.randrange(rows)
+            b, c = (rng.choice([x for x in range(rows) if x != a]) for _ in range(2))
+            k = rng.randint(-3, 3)
+            m[a] = [x + k * y for x, y in zip(m[b], m[c])]
+        if case % 5 == 0:
+            # a common factor in every entry
+            f = rng.randint(2, 6)
+            m = [[f * x for x in row] for row in m]
+        _, d, _ = smith_normal_form(m)
+        diag = [d[i][i] for i in range(min(rows, cols))]
+        expected = [int(x) for x in normalforms.invariant_factors(Matrix(m))]
+        assert diag == expected, m
+        singular += 0 in diag
+    assert singular >= 40

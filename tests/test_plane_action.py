@@ -19,6 +19,7 @@ from delpezzo.plane_action import (
     SMOOTH,
     _abelianization_order,
     _cross,
+    _cross_point,
     _stabilizer,
     builtin_actions,
     classify_stabilizer,
@@ -37,7 +38,11 @@ def mono(perm, scalars):
 
 
 def pt(*coords):
-    return ProjectivePoint([CyclotomicNumber.from_rational(c) for c in coords])
+    """The point with these coordinates: 0, 1, -1, or a string "k/m" for
+    the root of unity zeta^(k/m)."""
+    known = {0: None, 1: Fraction(0), -1: Fraction(1, 2)}
+    return ProjectivePoint([known[c] if c in known else RootOfUnity.parse(c).exponent
+                            for c in coords])
 
 
 class TestMonomialMatrix:
@@ -55,7 +60,7 @@ class TestMonomialMatrix:
     def test_apply_matches_multiplication(self):
         a = mono((1, 2, 0), ("1/3", "0", "1/2"))
         b = mono((0, 2, 1), ("0", "1/4", "0"))
-        p = pt(2, 3, 5)
+        p = pt(1, "1/3", "2/5")
         assert p.transformed(b).transformed(a) == p.transformed(a * b)
 
     def test_projective_order(self):
@@ -131,6 +136,28 @@ class TestParseAction:
             parse_action('[{"perm": [0, 1], "scalars": ["0"]}]')
 
 
+def test_action_json_round_trip():
+    # generators -> action JSON with str(RootOfUnity) scalars -> parse_action
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    exponents = st.integers(1, 400).flatmap(
+        lambda m: st.integers(-m, 2 * m).map(lambda k: Fraction(k, m)))
+    generator = st.tuples(st.permutations(range(3)), st.lists(exponents, min_size=3, max_size=3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(generator, min_size=1, max_size=4), st.booleans())
+    def check(raw, named):
+        roots = [(tuple(perm), [RootOfUnity(e) for e in exps]) for perm, exps in raw]
+        gens = [MonomialMatrix(perm, tuple(scalars)) for perm, scalars in roots]
+        body = [{"perm": list(perm), "scalars": [str(s) for s in scalars]}
+                for perm, scalars in roots]
+        text = json.dumps({"name": "drawn", "generators": body} if named else body)
+        assert parse_action(text) == gens
+
+    check()
+
+
 class TestCloseGroup:
     def test_builtin_orders(self):
         expected = {"z2_cone": 2, "z6": 6, "z3": 3, "z3xz3": 9,
@@ -157,7 +184,7 @@ class TestFixedLocus:
         assert loc.line is not None
         assert loc.points == [pt(0, 0, 1)]
         assert loc.line.contains(pt(1, 0, 0))
-        assert loc.line.contains(pt(1, 5, 0))
+        assert loc.line.contains(pt(1, "1/5", 0))
         assert not loc.line.contains(pt(0, 0, 1))
 
     def test_permutation_fixed_points(self):
@@ -236,7 +263,7 @@ class TestClassifyStabilizer:
     def test_trivial_stabilizer_rejected(self):
         group = close_group(builtin_actions()["z3"])
         with pytest.raises(ActionError):
-            classify_stabilizer(group, pt(1, 2, 3))
+            classify_stabilizer(group, pt(1, -1, "1/5"))
 
     def test_quaternion_abelianization(self):
         # Q8 / [Q8, Q8] = Q8 / {+-1} is the Klein four-group
@@ -292,6 +319,30 @@ def test_bench_tracer_sees_plane_action(monkeypatch):
     assert totals["plane_action.classify_stabilizer"][0] >= 1
 
 
+def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+    # the traced benchmark run looks every patched name up in its owner's
+    # __dict__: a rewrite that deletes one fails here, and uninstalling
+    # must put every original back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from bench.tracing import Tracer, instrument
+    from delpezzo import classifier, cli, cyclotomic, fpgroups, lattice, plane_action, surfaces
+
+    owners = [classifier, cli, cyclotomic, fpgroups, lattice, plane_action, surfaces,
+              plane_action.ProjectivePoint, plane_action.OrbitData,
+              cyclotomic.CyclotomicNumber, fpgroups.CosetTable]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    instrument(tracer)
+    try:
+        patched = {(target, name) for target, name, _ in tracer._patched}
+        assert (plane_action.ProjectivePoint, "__init__") in patched
+        assert (cyclotomic.CyclotomicNumber, "reduce_conductor") in patched
+        assert [dict(vars(owner)) for owner in owners] != before
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
 def test_unsupported_action_raises():
     # Z/3 acting with a non-Gorenstein isolated fixed point
     g = mono((0, 1, 2), ("0", "1/3", "1/3"))
@@ -300,16 +351,38 @@ def test_unsupported_action_raises():
 
 
 def test_line_meet():
-    l1 = Line([CyclotomicNumber.from_rational(c) for c in (1, 0, 0)])
-    l2 = Line([CyclotomicNumber.from_rational(c) for c in (0, 1, 0)])
-    assert l1.meet(l2) == pt(0, 0, 1)
+    assert Line(pt(1, 0, 0)).meet(Line(pt(0, 1, 0))) == pt(0, 0, 1)
+    # same two-element support: only one entry of the cross product survives
+    assert Line(pt(1, 1, 0)).meet(Line(pt(1, -1, 0))) == pt(0, 0, 1)
+    assert Line(pt(0, 1, "1/3")).meet(Line(pt("1/4", 0, 0))) == pt(0, 1, "1/6")
+    with pytest.raises(ActionError):
+        Line(pt(1, 1, 0)).meet(Line(pt("1/3", "1/3", 0)))      # the same line
 
 
-def test_pt_is_exponent_form_exactly_for_roots_of_unity():
+def test_point_normalisation():
     assert pt(1, 0, 0).exps == (Fraction(0), None, None)
-    assert pt(2, -2, 0) == pt(1, -1, 0) == ProjectivePoint._of((Fraction(0), Fraction(1, 2), None))
-    assert pt(1, 5, 0).exps is None and pt(1, 2, 3).exps is None
+    assert pt("1/3", "5/6", 0) == pt(1, -1, 0)
+    assert pt(1, -1, 0).exps == (Fraction(0), Fraction(1, 2), None)
+    assert hash(pt("1/3", "5/6", 0)) == hash(pt(1, -1, 0))
+    assert ProjectivePoint((None, Fraction(1, 4), Fraction(3, 4))).exps == (
+        None, Fraction(0), Fraction(1, 2))
+    assert ProjectivePoint((Fraction(1, 2), Fraction(7, 4), Fraction(-1, 3))).exps == (
+        Fraction(0), Fraction(1, 4), Fraction(1, 6))
+    assert ProjectivePoint.__slots__ == ("exps",)
     assert pt(1, 0, 0) in fixed_locus(mono((0, 1, 2), ("0", "1/3", "2/3"))).points
+    with pytest.raises(ActionError):
+        ProjectivePoint((None, None, None))
+    with pytest.raises(ActionError):
+        ProjectivePoint((Fraction(0), None))
+
+
+def test_cross_point_needs_a_zero_coordinate():
+    full = pt(1, "1/3", "2/3")
+    for p, q in [(full, pt(1, 0, 0)), (pt(0, 1, -1), full), (full, pt(1, 1, 1))]:
+        with pytest.raises(ActionError):
+            _cross_point(p, q)
+    with pytest.raises(ActionError):
+        Line(full).meet(Line(pt(0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +398,7 @@ def test_exponent_key_and_str_match_cyclotomic_reference():
                 continue
             e = Fraction(k, m)
             ref = RootOfUnity(e).to_cyclotomic().reduce_conductor()
-            p = ProjectivePoint._of((Fraction(0), e, None))
+            p = ProjectivePoint((Fraction(0), e, None))
             assert p.key() == ((1, (Fraction(1),)), (ref.conductor, ref.coeffs),
                                (zero.conductor, zero.coeffs)), e
             assert str(p) == f"[1, {ref}, 0]"
@@ -402,8 +475,8 @@ def test_exponent_points_match_cyclotomic_reference():
     # contains: sums of up to two terms from the monomial loci, and of
     # three terms against normals made to vanish on a full-support point
     full = [p for p in points if None not in p.exps][:4]
-    cubic = [Line(ProjectivePoint._of((Fraction(0), (Fraction(1, 3) - p.exps[1]) % 1,
-                                       (Fraction(2, 3) - p.exps[2]) % 1))) for p in full]
+    cubic = [Line(ProjectivePoint((Fraction(0), Fraction(1, 3) - p.exps[1],
+                                   Fraction(2, 3) - p.exps[2]))) for p in full]
     hits = 0
     for line in lines + cubic:
         for p in rng.sample(points, 6) + full:
