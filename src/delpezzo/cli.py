@@ -2,7 +2,10 @@
 with canonical (sorted-key) JSON on stdout for golden-file testing.
 
 Exit codes: 0 success, 1 operation-level contradiction / Indeterminate /
-bound exceeded (still with a JSON body), 2 usage or parse error.
+bound exceeded (still with a JSON body), 2 usage or parse error, 3
+internal error: an unexpected exception, reported as the JSON body
+{"error": "internal error", "exception": <type name>, "detail": <message>}
+with its traceback on stderr.
 
 Each subcommand imports the library modules it uses, so a process pays
 only for the modules its subcommand needs.
@@ -217,7 +220,7 @@ def _parse_params(pairs):
             raise SystemExit2(f"bad --param {pair!r}; expected name=rational")
         try:
             params[key] = Fraction(value)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise SystemExit2(f"bad rational {value!r} in --param") from None
     return params
 
@@ -245,7 +248,10 @@ def cmd_wps(args) -> dict:
     if args.singular:
         if not qh:
             raise OperationFailure({**out, "error": "not quasi-homogeneous"})
-        points = surfaces.cone_singular_points(f)
+        try:
+            points = surfaces.cone_singular_points(f)
+        except ValueError as exc:          # too many variables, conductor cap
+            raise OperationFailure({**out, "error": str(exc)}) from None
         if isinstance(points, surfaces.Indeterminate):
             raise OperationFailure({**out, "indeterminate": points.factors})
         out["singular_points"] = [[str(c) for c in p] for p in points]
@@ -260,7 +266,7 @@ def cmd_germ(args) -> dict:
         raise SystemExit2("germ classification needs a 2-variable polynomial")
     try:
         point = tuple(Fraction(x) for x in args.at.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"bad point {args.at!r}; expected x,y rationals") from None
     if len(point) != 2:
         raise SystemExit2("the point needs exactly two coordinates")
@@ -274,10 +280,12 @@ def cmd_germ(args) -> dict:
 def cmd_fibers(args) -> dict:
     from . import surfaces
 
-    configs = surfaces.fiber_configurations(args.must_contain, args.total_euler)
+    try:
+        configs = surfaces.fiber_configurations(args.must_contain, args.total_euler)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     return {"configs": [list(c) for c in configs],
-            "euler": {t: surfaces.kodaira_euler(t)
-                      for c in configs for t in c}}
+            "euler": {t: surfaces.kodaira_euler(t) for t in set().union(*configs)}}
 
 
 def cmd_report(args) -> dict:
@@ -372,6 +380,13 @@ def main(argv=None) -> int:
     except OperationFailure as exc:
         _emit(exc.body, args.pretty)
         return 1
+    except Exception as exc:        # a bug, never a verdict on the input
+        import traceback
+
+        traceback.print_exc()
+        _emit({"error": "internal error", "exception": type(exc).__name__,
+               "detail": str(exc)}, args.pretty)
+        return 3
     _emit(result, args.pretty)
     return 0
 

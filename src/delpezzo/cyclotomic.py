@@ -13,12 +13,15 @@ in a non-minimal field and minimization would cost more than it saves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# Guard against conductor blowup from repeated lcm-lifting.  Everything
-# in this package lives in conductors <= 12; 360 leaves plenty of room.
+# Cap on the conductor of one number.  A number is a dense vector of
+# phi(m) rationals, multiplication is quadratic in it, and mixed-conductor
+# arithmetic lifts to the lcm: the surfaces solver peels Phi_d for
+# d <= 24 and combines such roots, so fields like Q(zeta_72) (lcm(8, 9))
+# occur.  Past the cap, ConductorCapExceeded (a ValueError) is raised
+# instead of repeated lifting building ever larger fields.
 CONDUCTOR_CAP = 360
 
 
@@ -115,70 +118,6 @@ def _reduce_mod_phi(coeffs, m):
     return tuple(c)
 
 
-# ---------------------------------------------------------------------------
-# roots of unity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, order=True)
-class RootOfUnity:
-    """The root of unity e^(2*pi*i*k/m), stored as the reduced fraction k/m."""
-
-    exponent: Fraction
-
-    def __post_init__(self):
-        e = self.exponent % 1
-        object.__setattr__(self, "exponent", e)
-
-    @classmethod
-    def of(cls, k: int, m: int) -> "RootOfUnity":
-        return cls(Fraction(k, m))
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(Fraction(0))
-
-    @classmethod
-    def parse(cls, text: str) -> "RootOfUnity":
-        text = text.strip()
-        if text == "0":
-            return cls.one()
-        if "/" not in text:
-            raise ValueError(f"bad root-of-unity literal {text!r} (expected 'k/m' or '0')")
-        k, m = text.split("/", 1)
-        return cls(Fraction(int(k), int(m)))
-
-    @property
-    def order(self) -> int:
-        return self.exponent.denominator
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
-
-    def __truediv__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent - other.exponent)
-
-    def __pow__(self, n: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * n)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
-
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def to_cyclotomic(self) -> "CyclotomicNumber":
-        m = self.exponent.denominator
-        k = self.exponent.numerator
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return CyclotomicNumber(m, coeffs)
-
-    def __str__(self):
-        if self.exponent == 0:
-            return "0"
-        return f"{self.exponent.numerator}/{self.exponent.denominator}"
-
-
 @lru_cache(maxsize=1024)
 def root_coordinates(e: Fraction) -> tuple:
     """(conductor, coefficients) of zeta^e, e in [0, 1), in the smallest
@@ -253,8 +192,6 @@ class CyclotomicNumber:
     def _coerce(x):
         if isinstance(x, CyclotomicNumber):
             return x
-        if isinstance(x, RootOfUnity):
-            return x.to_cyclotomic()
         if isinstance(x, (int, Fraction)):
             return CyclotomicNumber.from_rational(x)
         return NotImplemented
@@ -423,7 +360,8 @@ class CyclotomicNumber:
         return None
 
     def as_root_of_unity(self):
-        """Return k/M if this value is exactly e^(2*pi*i*k/M), else None.
+        """The exponent e in [0, 1) if this value is exactly exp(2*pi*i*e),
+        else None.
 
         The roots of unity inside Q(zeta_m) are exactly the M-th roots
         where M = lcm(2, m), so the search space is finite.
@@ -431,8 +369,7 @@ class CyclotomicNumber:
         if self.is_zero():
             return None
         big = math.lcm(2, self.conductor)
-        e = _roots_of_unity(big).get(self.lift(big).coeffs)
-        return None if e is None else RootOfUnity(e)
+        return _roots_of_unity(big).get(self.lift(big).coeffs)
 
     # -- rendering -----------------------------------------------------------
 

@@ -97,7 +97,8 @@ def cartan_matrix(t: DynkinType):
 
 
 def _int_det(matrix) -> int:
-    """Determinant by fraction-free elimination (exact for integer input)."""
+    """Determinant by Gaussian elimination over Fraction (exact; integer
+    input gives an integer)."""
     m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
     det = Fraction(1)
@@ -193,6 +194,10 @@ def parse_config(text: str):
 # curve configurations and blow-down calculus
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class CurveConfig:
     labels: list
@@ -200,9 +205,20 @@ class CurveConfig:
     multiplicities: Optional[list] = None
 
     def __post_init__(self):
+        if not isinstance(self.labels, list):
+            raise ValueError("labels must be a list")
         n = len(self.labels)
+        if not (isinstance(self.matrix, list)
+                and all(isinstance(row, list) for row in self.matrix)):
+            raise ValueError("the intersection matrix must be a list of rows")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("intersection matrix shape must match labels")
+        if not all(_is_int(x) for row in self.matrix for x in row):
+            raise ValueError("intersection numbers must be integers")
+        if self.multiplicities is not None and not (
+                isinstance(self.multiplicities, list) and len(self.multiplicities) == n
+                and all(_is_int(m) for m in self.multiplicities)):
+            raise ValueError("multiplicities must be a list of integers, one per curve")
         for i in range(n):
             for j in range(n):
                 if self.matrix[i][j] != self.matrix[j][i]:
@@ -212,9 +228,7 @@ class CurveConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "CurveConfig":
-        return cls(list(data["labels"]),
-                   [list(r) for r in data["matrix"]],
-                   list(data["multiplicities"]) if data.get("multiplicities") else None)
+        return cls(data["labels"], data["matrix"], data.get("multiplicities"))
 
     def to_json(self) -> dict:
         out = {"labels": self.labels, "matrix": self.matrix}

@@ -6,12 +6,13 @@ of PGL(3).  Each is stored in its projective normal form, with the first
 column's scalar divided out, so elements equal in PGL(3) compare and hash
 equal.  Everything downstream is exact: eigenvalues come cycle-wise as
 roots of unity, and every fixed point and pointwise-fixed line of a
-monomial element has coordinates in {0} and the roots of unity, so
-points are triples of exponents, moved, compared and hashed without
-field arithmetic.  Stabilizers are classified through
-Hirzebruch-Jung reduction or the binary polyhedral dictionary, and the
-quotient's K^2 and singularity configuration are assembled with integer
-arithmetic throughout.
+monomial element has coordinates in {0} and the roots of unity.  A root
+of unity zeta^e = exp(2*pi*i*e) is stored everywhere as its exponent e,
+a Fraction in [0, 1), so matrix scalars, eigenvalues and points are
+multiplied, compared and hashed without field arithmetic.  Stabilizers
+are classified through Hirzebruch-Jung reduction or the binary
+polyhedral dictionary, and the quotient's K^2 and singularity
+configuration are assembled with integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import RootOfUnity, root_coordinates
+from .cyclotomic import CyclotomicNumber, root_coordinates
 from .lattice import A, D, E, DynkinType, config_sorted
 
 GROUP_CAP = 720
@@ -42,14 +43,16 @@ class GroupCapExceeded(RuntimeError):
 # monomial matrices modulo global scalar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class MonomialMatrix:
-    """Matrix with entry scalars[j] at position (perm[j], j), zero elsewhere,
-    up to a global scalar: construction divides out scalars[0], so
-    scalars[0] is always 1."""
+    """Matrix with entry zeta^scalars[j] at position (perm[j], j), zero
+    elsewhere, up to a global scalar.  The scalars are exponents of roots
+    of unity (zeta^e = exp(2*pi*i*e)); construction divides out the first
+    and reduces each into [0, 1), so scalars[0] is always 0.  Instances
+    sort by (perm, scalars)."""
 
     perm: tuple
-    scalars: tuple          # three RootOfUnity values
+    scalars: tuple          # three Fraction exponents
 
     def __post_init__(self):
         if sorted(self.perm) != [0, 1, 2]:
@@ -57,28 +60,27 @@ class MonomialMatrix:
         if len(self.scalars) != 3:
             raise ActionError("exactly three scalars required")
         s0 = self.scalars[0]
-        if not s0.is_one():
-            object.__setattr__(self, "scalars", tuple(s / s0 for s in self.scalars))
+        scalars = tuple(s - s0 for s in self.scalars) if s0 else self.scalars
+        object.__setattr__(self, "scalars", tuple(s % 1 for s in scalars))
 
     @classmethod
     def identity(cls) -> "MonomialMatrix":
-        one = RootOfUnity.one()
-        return cls((0, 1, 2), (one, one, one))
+        return cls((0, 1, 2), (Fraction(0),) * 3)
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         # (self*other) x = self(other x)
         perm = tuple(self.perm[other.perm[j]] for j in range(3))
-        scalars = tuple(other.scalars[j] * self.scalars[other.perm[j]]
+        scalars = tuple(other.scalars[j] + self.scalars[other.perm[j]]
                         for j in range(3))
         return MonomialMatrix(perm, scalars)
 
     def inverse(self) -> "MonomialMatrix":
         inv_perm = tuple(self.perm.index(i) for i in range(3))
-        scalars = tuple(self.scalars[inv_perm[i]].inverse() for i in range(3))
+        scalars = tuple(-self.scalars[inv_perm[i]] for i in range(3))
         return MonomialMatrix(inv_perm, scalars)
 
     def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2) and all(s.is_one() for s in self.scalars)
+        return self.perm == (0, 1, 2) and self.scalars == (0, 0, 0)
 
     def order(self) -> int:
         """Projective order (order in PGL(3)).
@@ -93,16 +95,15 @@ class MonomialMatrix:
         """Image of a coordinate vector of cyclotomic numbers: the field
         reference that ProjectivePoint.transformed is checked against."""
         out = [None, None, None]
-        for j in range(3):
-            out[self.perm[j]] = coords[j] * self.scalars[j]
+        for j, e in enumerate(self.scalars):
+            # times zeta^e: a Fraction factor would scale by e itself
+            zeta_e = CyclotomicNumber.zeta(e.denominator, e.numerator)
+            out[self.perm[j]] = coords[j] * zeta_e
         return out
 
     def normal_action(self) -> "MonomialMatrix":
         """The induced action on line normals (inverse transpose)."""
-        return MonomialMatrix(self.perm, tuple(s.inverse() for s in self.scalars))
-
-    def sort_key(self):
-        return (self.perm, tuple(s.exponent for s in self.scalars))
+        return MonomialMatrix(self.perm, tuple(-s for s in self.scalars))
 
 
 def parse_action(text: str):
@@ -127,7 +128,8 @@ def parse_action(text: str):
         if not isinstance(g, dict) or "perm" not in g or "scalars" not in g:
             raise ActionError(f'{where}: expected {{"perm":..., "scalars":...}}')
         perm = g["perm"]
-        if not (isinstance(perm, list) and sorted(perm) == [0, 1, 2]):
+        if not (isinstance(perm, list) and all(type(k) is int for k in perm)
+                and sorted(perm) == [0, 1, 2]):
             raise ActionError(f"{where}: perm {perm!r} is not a permutation of 0,1,2")
         scalars = g["scalars"]
         if not (isinstance(scalars, list) and len(scalars) == 3):
@@ -135,11 +137,23 @@ def parse_action(text: str):
         parsed = []
         for k, s in enumerate(scalars):
             try:
-                parsed.append(RootOfUnity.parse(str(s)))
+                parsed.append(parse_exponent(str(s)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ActionError(f"{where}, scalar {k}: {exc}") from None
         gens.append(MonomialMatrix(tuple(perm), tuple(parsed)))
     return gens
+
+
+def parse_exponent(text: str) -> Fraction:
+    """The exponent e in [0, 1) of a root of unity written 'k/m' (for
+    zeta^(k/m)) or '0' (for 1)."""
+    text = text.strip()
+    if text == "0":
+        return Fraction(0)
+    if "/" not in text:
+        raise ValueError(f"bad root-of-unity literal {text!r} (expected 'k/m' or '0')")
+    k, m = text.split("/", 1)
+    return Fraction(int(k), int(m)) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +162,7 @@ def parse_action(text: str):
 
 @dataclass(frozen=True)
 class FiniteActionGroup:
-    elements: tuple        # sorted by MonomialMatrix.sort_key
+    elements: tuple        # sorted
 
     @property
     def order(self) -> int:
@@ -176,7 +190,7 @@ def _closure(gens, cap: int) -> set:
 
 
 def close_group(gens, cap: int = GROUP_CAP) -> FiniteActionGroup:
-    return FiniteActionGroup(tuple(sorted(_closure(gens, cap), key=MonomialMatrix.sort_key)))
+    return FiniteActionGroup(tuple(sorted(_closure(gens, cap))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +249,7 @@ class ProjectivePoint:
         out = [None, None, None]
         for j, e in enumerate(self.exps):
             if e is not None:
-                out[m.perm[j]] = e + m.scalars[j].exponent
+                out[m.perm[j]] = e + m.scalars[j]
         return ProjectivePoint(out)
 
     def __str__(self):
@@ -343,7 +357,7 @@ def eigen_data(m: MonomialMatrix):
             seen.add(j)
             j = m.perm[j]
         c = len(cycle)
-        rho = sum(m.scalars[j].exponent for j in cycle) % 1
+        rho = sum(m.scalars[j] for j in cycle) % 1
         for t in range(c):
             lam = ((rho + t) / c) % 1
             exps = [None, None, None]
@@ -351,7 +365,7 @@ def eigen_data(m: MonomialMatrix):
             j = start
             for _ in range(c - 1):
                 # v[perm(j)] = scalars[j] * v[j] / lambda
-                value = value + m.scalars[j].exponent - lam
+                value = value + m.scalars[j] - lam
                 j = m.perm[j]
                 exps[j] = value
             pairs.append((lam, ProjectivePoint(exps)))
@@ -382,16 +396,17 @@ def fixed_locus(g: MonomialMatrix) -> FixedLocus:
 
 
 def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
-    """Eigenvalues of the induced action on the tangent plane at a fixed
-    point: the two other matrix eigenvalues divided by the one at p."""
+    """Eigenvalue exponents, in [0, 1), of the induced action on the tangent
+    plane at a fixed point: the two other matrix eigenvalues divided by the
+    one at p."""
     if p.transformed(g) != p:
         raise ActionError(f"point {p} is not fixed by the element")
     # the coordinate of p that is 1 comes from column j, times scalars[j]
     j = g.perm.index(p.exps.index(0))
-    lam = (p.exps[j] + g.scalars[j].exponent) % 1
+    lam = (p.exps[j] + g.scalars[j]) % 1
     values = [v for v, _ in eigen_data(g)]
     values.remove(lam)       # one copy only: multiplicity matters
-    return (RootOfUnity(values[0] - lam), RootOfUnity(values[1] - lam))
+    return ((values[0] - lam) % 1, (values[1] - lam) % 1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +490,13 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
         raise ActionError(f"point {p} has trivial stabilizer")
     nontrivial = [g for g in stab if not g.is_identity()]
     n = len(stab)
-    generator = next((g for g in sorted(nontrivial, key=MonomialMatrix.sort_key)
-                      if g.order() == n), None)
+    generator = next((g for g in sorted(nontrivial) if g.order() == n), None)
     if generator is not None:
         # cyclic stabilizer: read 1/r(a,b) off the generator's tangent action
         t1, t2 = tangent_eigenvalues(generator, p)
-        r = math.lcm(t1.exponent.denominator, t2.exponent.denominator)
-        a = int(t1.exponent * r)
-        b = int(t2.exponent * r)
+        r = math.lcm(t1.denominator, t2.denominator)
+        a = int(t1 * r)
+        b = int(t2 * r)
         r2, a2, b2 = hj_normalize(r, a, b)
         if r2 == 1:
             return SMOOTH
@@ -494,7 +508,7 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
     in_sl2 = True
     for g in nontrivial:
         t1, t2 = tangent_eigenvalues(g, p)
-        if not (t1 * t2).is_one():
+        if (t1 + t2) % 1 != 0:
             in_sl2 = False
             break
     if abelian:
@@ -683,11 +697,8 @@ def _euler_stratification(n, orbit_points, branch, line_orbits):
 
 def builtin_actions():
     """The six named actions used throughout: generator lists keyed by name."""
-    def ru(text):
-        return RootOfUnity.parse(text)
-
     def mono(perm, scalars):
-        return MonomialMatrix(tuple(perm), tuple(ru(s) for s in scalars))
+        return MonomialMatrix(tuple(perm), tuple(parse_exponent(s) for s in scalars))
 
     return {
         # [-x, -y, z]: quotient is the quadric cone (A1, K^2 = 8)

@@ -203,6 +203,8 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
                     coeff *= Fraction(base) ** power
                 except ValueError:
                     raise ValueError(f"unknown symbol {base!r} in polynomial") from None
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {base!r}") from None
         e = tuple(expo)
         terms[e] = terms.get(e, Fraction(0)) + coeff
         pending = False
@@ -595,26 +597,23 @@ def fiber_configurations(must_contain: str = "II*", total_euler: int = 12,
     remaining = total_euler - kodaira_euler(must_contain)
     if remaining < 0:
         return []
-    if others_irreducible:
-        pool = ["I1", "II"]
-    else:
-        pool = ["I1", "II", "III", "IV", "I0*"]
-    results = set()
-
-    def go(left, start, acc):
-        if left == 0:
-            results.add(tuple(acc))
-            return
-        for i in range(start, len(pool)):
-            e = kodaira_euler(pool[i])
-            if e <= left:
-                go(left - e, i, acc + [pool[i]])
-
-    go(remaining, 0, [])
+    # the pool is in _kodaira_sort_key order, so each choice comes out sorted
+    pool = ["I1", "II"] if others_irreducible else ["I1", "II", "III", "IV", "I0*"]
+    # each stack entry chooses how many fibres of one pool type to take,
+    # so the depth does not grow with the number of fibres; the last type
+    # takes what is left or nothing
     out = []
-    for extra in sorted(results):
-        out.append(tuple([must_contain] + sorted(extra, key=_kodaira_sort_key)))
-    return sorted(out, key=lambda cfg: [_kodaira_sort_key(t) for t in cfg])
+    stack = [(0, remaining, ())]
+    while stack:
+        i, left, extra = stack.pop()
+        e = kodaira_euler(pool[i])
+        if i + 1 < len(pool) and left:
+            stack.extend((i + 1, left - k * e, extra + (pool[i],) * k)
+                         for k in range(left // e + 1))
+        elif left % e == 0:
+            out.append((must_contain,) + extra + (pool[i],) * (left // e))
+    rank = {t: _kodaira_sort_key(t) for t in pool}
+    return sorted(out, key=lambda cfg: [rank[t] for t in cfg[1:]])
 
 
 def _kodaira_sort_key(t):

@@ -17,7 +17,7 @@ from delpezzo import fpgroups as F
 from delpezzo import lattice as L
 from delpezzo import plane_action as P
 from delpezzo import surfaces as S
-from delpezzo.cyclotomic import CyclotomicNumber, RootOfUnity
+from delpezzo.cyclotomic import CyclotomicNumber
 
 N_CASES = 1000
 
@@ -209,8 +209,8 @@ def _random_root(rng):
 
 def _cyclotomic_coords(p):
     """The coordinates of an exponent point as CyclotomicNumbers."""
-    return [CyclotomicNumber.zero() if e is None else RootOfUnity(e).to_cyclotomic()
-            for e in p.exps]
+    return [CyclotomicNumber.zero() if e is None
+            else CyclotomicNumber.zeta(e.denominator, e.numerator) for e in p.exps]
 
 
 def _random_point_on(rng, normal):

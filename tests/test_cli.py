@@ -96,6 +96,12 @@ def test_quotient_usage_errors(capsys):
     assert main(["quotient", "--action", "not json"]) == 2
 
 
+def test_quotient_float_perm_entry_exits_2(capsys):
+    text = '[{"perm":[0,1,2.0],"scalars":["1/2","0","0"]}]'
+    assert main(["quotient", "--action", text]) == 2
+    assert "is not a permutation of 0,1,2" in capsys.readouterr().err
+
+
 def test_classify(capsys):
     code, out = run(capsys, "classify", "--top", "Q")
     assert code == 0
@@ -202,6 +208,25 @@ def test_recognize_and_blowdown(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"labels": ["a", "b"], "matrix": [[-1, 0.5], [0.5, -2]]}, "must be integers"),
+    ({"labels": ["a", "b"], "matrix": [[-1, True], [True, -2]]}, "must be integers"),
+    ({"labels": ["a"], "matrix": [[None]]}, "must be integers"),
+    ({"labels": 5, "matrix": [[-1]]}, "labels must be a list"),
+    ({"labels": ["a"], "matrix": [-1]}, "a list of rows"),
+    ({"labels": ["a"], "matrix": [[-1]], "multiplicities": 3}, "multiplicities"),
+    ({"labels": ["a", "b"], "matrix": [[-1, 0], [0, -2]], "multiplicities": [1]},
+     "one per curve"),
+])
+def test_curve_config_entries_are_checked(capsys, config, message):
+    # a float intersection number used to blow down to a self-intersection
+    # of -1.75 with exit 0
+    assert main(["blowdown", "--config", json.dumps(config), "--curve", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad curve configuration: ") and message in err
+    assert main(["recognize", "--config", json.dumps(config)]) == 2
+
+
 @pytest.mark.parametrize("text", ["[1]", "5", '"C"', "null"])
 def test_curve_config_not_an_object_exits_2(capsys, text):
     assert main(["blowdown", "--config", text, "--curve", "C"]) == 2
@@ -221,6 +246,27 @@ def test_wps_singular(capsys):
 
 def test_wps_bad_param(capsys):
     assert main(["wps", "--poly", "vars X:1\nX", "--param", "oops"]) == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["wps", "--poly", "vars X:1 Y:1\nX+a", "--param", "a=1/0"],
+     "error: bad rational '1/0' in --param"),
+    (["wps", "--poly", "vars X:1 Y:1\n1/0*X + Y"],
+     "error: bad polynomial: zero denominator in '1/0'"),
+    (["germ", "--poly", "vars x:1 y:1\nx^2+y^2", "--at", "1/0,0"],
+     "error: bad point '1/0,0'; expected x,y rationals"),
+], ids=["param", "coefficient", "point"])
+def test_zero_denominator_exits_2(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err + "\n"
+
+
+def test_wps_singular_too_many_variables_is_refused(capsys):
+    code, out = run(capsys, "wps", "--poly", "vars A:1 B:1 C:1 D:1 E:1\nA^2+B^2+C^2+D^2+E^2",
+                    "--singular")
+    assert code == 1
+    assert out["error"] == "at most 4 variables supported"
+    assert out["quasi_homogeneous"] and out["degree"] == 2
 
 
 @pytest.mark.parametrize("text", [
@@ -272,6 +318,22 @@ def test_fibers(capsys):
     assert sorted(map(tuple, out["configs"])) == [("II*", "I1", "I1"), ("II*", "II")]
 
 
+def test_fibers_many_fibres(capsys):
+    # 1190 more Euler number in I1 and II fibres: one fibre per stack level
+    # would overflow the interpreter's recursion limit
+    code, out = run(capsys, "fibers", "--total-euler", "1200")
+    assert code == 0
+    assert len(out["configs"]) == 596               # a + 2b = 1190, b = 0..595
+    assert out["euler"] == {"I1": 1, "II": 2, "II*": 10}
+    assert all(sum(out["euler"][t] for t in c) == 1200 for c in out["configs"])
+    assert out["configs"][0][:2] == ["II*", "I1"] and out["configs"][-1][-1] == "II"
+
+
+def test_fibers_unknown_type_exits_2(capsys):
+    assert main(["fibers", "--must-contain", "I2x"]) == 2
+    assert capsys.readouterr().err == "error: unknown Kodaira fibre type 'I2x'\n"
+
+
 def test_report(capsys):
     code, out = run(capsys, "report")
     assert code == 0
@@ -294,3 +356,20 @@ def test_sorted_keys(capsys):
 def test_usage_error_exit_code():
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import delpezzo.cli as cli
+
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    code, out = run(capsys, "report")
+    assert code == 3
+    assert out == {"error": "internal error", "exception": "KeyError", "detail": "'lost'"}
+    monkeypatch.setattr(cli, "cmd_lemma1", lambda args: 1 // 0)
+    assert main(["lemma1"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["exception"] == "ZeroDivisionError"
+    assert "Traceback (most recent call last)" in captured.err

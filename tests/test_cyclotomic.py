@@ -5,7 +5,6 @@ import pytest
 from delpezzo.cyclotomic import (
     ConductorCapExceeded,
     CyclotomicNumber,
-    RootOfUnity,
     _poly_gcd,
     cyclotomic_polynomial,
     euler_phi,
@@ -41,26 +40,6 @@ def test_poly_gcd_is_monic():
     assert _poly_gcd(a, []) == [-2, 1, 1]
     assert _poly_gcd([Fraction(0)], [Fraction(2), Fraction(4)]) == [Fraction(1, 2), 1]
     assert _poly_gcd([], [0, 0]) == []
-
-
-class TestRootOfUnity:
-    def test_parse_and_order(self):
-        r = RootOfUnity.parse("2/3")
-        assert r.order == 3
-        assert RootOfUnity.parse("0").is_one()
-        assert RootOfUnity.parse("1/2").order == 2
-
-    def test_group_law(self):
-        a = RootOfUnity.of(1, 4)
-        b = RootOfUnity.of(1, 6)
-        assert (a * b).order == 12
-        assert (a / a).is_one()
-        assert (a ** 4).is_one()
-        assert a * a.inverse() == RootOfUnity.one()
-
-    def test_to_cyclotomic_round_trip(self):
-        r = RootOfUnity.of(5, 12)
-        assert r.to_cyclotomic().as_root_of_unity() == r
 
 
 class TestCyclotomicNumber:
@@ -112,10 +91,19 @@ class TestCyclotomicNumber:
 
     def test_as_root_of_unity(self):
         z = CyclotomicNumber.zeta(7) ** 3
-        assert z.as_root_of_unity() == RootOfUnity.of(3, 7)
+        assert z.as_root_of_unity() == Fraction(3, 7)
         minus_one = CyclotomicNumber.from_rational(-1)
-        assert minus_one.as_root_of_unity() == RootOfUnity.of(1, 2)
+        assert minus_one.as_root_of_unity() == Fraction(1, 2)
+        assert CyclotomicNumber.from_rational(1).as_root_of_unity() == 0
         assert (CyclotomicNumber.zeta(5) + 1).as_root_of_unity() is None
+        assert CyclotomicNumber.zero(4).as_root_of_unity() is None
+
+    def test_zeta_round_trip(self):
+        # zeta(m, k) -> as_root_of_unity is k/m reduced into [0, 1)
+        assert CyclotomicNumber.zeta(12, 5).as_root_of_unity() == Fraction(5, 12)
+        for m in range(1, 25):
+            for k in range(-m, 2 * m):
+                assert CyclotomicNumber.zeta(m, k).as_root_of_unity() == Fraction(k, m) % 1
 
     def test_conductor_cap(self):
         with pytest.raises(ConductorCapExceeded):
@@ -123,4 +111,6 @@ class TestCyclotomicNumber:
 
     def test_str(self):
         assert str(CyclotomicNumber.zeta(3)) == "zeta(1/3)"
+        assert str(CyclotomicNumber.zeta(12, 10)) == "zeta(5/6)"
+        assert str(CyclotomicNumber.zeta(8, 4)) == "-1"
         assert str(CyclotomicNumber.from_rational(Fraction(1, 2))) == "1/2"

@@ -26,6 +26,27 @@ def test_parse_format_round_trip():
     assert again == p
 
 
+def test_presentation_text_round_trip():
+    # Presentation -> format_presentation -> parse_presentation, and the
+    # formatted text is a fixed point
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def presentations(ngens):
+        letters = st.integers(-ngens, ngens).filter(bool)
+        relators = st.lists(st.lists(letters, min_size=1, max_size=12).map(tuple), max_size=4)
+        return relators.map(lambda rels: Presentation(ngens, tuple(rels)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(Presentation(0, ())), st.integers(1, 5).flatmap(presentations)))
+    def check(p):
+        text = format_presentation(p)
+        assert parse_presentation(text) == p
+        assert format_presentation(parse_presentation(text)) == text
+
+    check()
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_presentation("rel=1^2")

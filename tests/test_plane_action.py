@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from delpezzo.cyclotomic import CyclotomicNumber, RootOfUnity
+from delpezzo.cyclotomic import CyclotomicNumber
 from delpezzo.lattice import A, D
 from delpezzo.plane_action import (
     ActionError,
@@ -27,22 +27,27 @@ from delpezzo.plane_action import (
     fixed_locus,
     hj_normalize,
     parse_action,
+    parse_exponent,
     quotient_profile,
     tangent_eigenvalues,
 )
 
 
 def mono(perm, scalars):
-    return MonomialMatrix(tuple(perm),
-                          tuple(RootOfUnity.parse(s) for s in scalars))
+    return MonomialMatrix(tuple(perm), tuple(parse_exponent(s) for s in scalars))
 
 
 def pt(*coords):
     """The point with these coordinates: 0, 1, -1, or a string "k/m" for
     the root of unity zeta^(k/m)."""
     known = {0: None, 1: Fraction(0), -1: Fraction(1, 2)}
-    return ProjectivePoint([known[c] if c in known else RootOfUnity.parse(c).exponent
+    return ProjectivePoint([known[c] if c in known else parse_exponent(c)
                             for c in coords])
+
+
+def zeta(e):
+    """zeta^e as a CyclotomicNumber."""
+    return CyclotomicNumber.zeta(e.denominator, e.numerator)
 
 
 class TestMonomialMatrix:
@@ -81,14 +86,18 @@ class TestMonomialMatrix:
         assert s * g == g and hash(s * g) == hash(g)
         assert len({g, s * g}) == 1
         assert mono((1, 0, 2), ("1/4", "3/4", "1/2")) == mono((1, 0, 2), ("0", "1/2", "1/4"))
-        assert mono((1, 0, 2), ("1/4", "3/4", "1/2")).scalars[0].is_one()
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        assert mono((1, 0, 2), ("1/4", "3/4", "1/2")).scalars == (0, half, quarter)
+        # dividing out scalars[0] reduces every exponent into [0, 1)
+        assert mono((0, 1, 2), ("1/2", "0", "1/4")).scalars == (0, half, 3 * quarter)
+        assert mono((0, 1, 2), ("1/2", "0", "0")) == mono((0, 1, 2), ("0", "1/2", "1/2"))
 
     def test_order_matches_powers(self):
         # closed-form order against the first power that is a scalar matrix
         def reference_order(g):
             power = g
             for k in itertools.count(1):
-                if power.perm == (0, 1, 2) and len({s.exponent for s in power.scalars}) == 1:
+                if power.perm == (0, 1, 2) and len(set(power.scalars)) == 1:
                     return k
                 power = power * g
 
@@ -105,7 +114,7 @@ class TestMonomialMatrix:
                 exps[i] = exps[j]
             elif kind == "scalar":
                 exps = [exps[0]] * 3
-            g = MonomialMatrix(perm, tuple(RootOfUnity(e) for e in exps))
+            g = MonomialMatrix(perm, tuple(exps))
             assert g.order() == reference_order(g), g
             cycles = 3 - sum(perm[k] == k for k in range(3))
             seen.add((d, kind, cycles))
@@ -135,23 +144,46 @@ class TestParseAction:
         with pytest.raises(ActionError):
             parse_action('[{"perm": [0, 1], "scalars": ["0"]}]')
 
+    @pytest.mark.parametrize("perm", [[0, 1, 2.0], [False, True, 2], [0, 1, "2"], [0, 1, None]])
+    def test_perm_entries_must_be_ints(self, perm):
+        text = json.dumps([{"perm": perm, "scalars": ["1/2", "0", "0"]}])
+        with pytest.raises(ActionError, match="is not a permutation of 0,1,2"):
+            parse_action(text)
+
+    def test_parse_exponent(self):
+        assert parse_exponent("2/3") == Fraction(2, 3)
+        assert parse_exponent(" 0 ") == 0
+        assert parse_exponent("1/2").denominator == 2
+        assert parse_exponent("-1/4") == parse_exponent("3/4") == parse_exponent("7/4")
+        assert parse_exponent("6/3") == 0
+        message = r"bad root-of-unity literal '1' \(expected 'k/m' or '0'\)"
+        with pytest.raises(ValueError, match=message):
+            parse_exponent("1")
+        with pytest.raises(ValueError):
+            parse_exponent("a/3")
+        with pytest.raises(ZeroDivisionError):
+            parse_exponent("1/0")
+        with pytest.raises(ActionError, match="generator 0, scalar 2: "):
+            parse_action('[{"perm": [0, 1, 2], "scalars": ["0", "1/3", "1/0"]}]')
+
 
 def test_action_json_round_trip():
-    # generators -> action JSON with str(RootOfUnity) scalars -> parse_action
+    # generators -> action JSON with "k/m" scalars, k/m unreduced and
+    # outside [0, 1) too -> parse_action
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     exponents = st.integers(1, 400).flatmap(
-        lambda m: st.integers(-m, 2 * m).map(lambda k: Fraction(k, m)))
+        lambda m: st.tuples(st.integers(-m, 2 * m), st.just(m)))
     generator = st.tuples(st.permutations(range(3)), st.lists(exponents, min_size=3, max_size=3))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(generator, min_size=1, max_size=4), st.booleans())
     def check(raw, named):
-        roots = [(tuple(perm), [RootOfUnity(e) for e in exps]) for perm, exps in raw]
-        gens = [MonomialMatrix(perm, tuple(scalars)) for perm, scalars in roots]
-        body = [{"perm": list(perm), "scalars": [str(s) for s in scalars]}
-                for perm, scalars in roots]
+        gens = [MonomialMatrix(tuple(perm), tuple(Fraction(k, m) for k, m in exps))
+                for perm, exps in raw]
+        body = [{"perm": list(perm), "scalars": [f"{k}/{m}" for k, m in exps]}
+                for perm, exps in raw]
         text = json.dumps({"name": "drawn", "generators": body} if named else body)
         assert parse_action(text) == gens
 
@@ -209,9 +241,12 @@ class TestFixedLocus:
 class TestTangent:
     def test_diagonal_case(self):
         g = mono((0, 1, 2), ("0", "1/3", "2/3"))
-        t1, t2 = tangent_eigenvalues(g, pt(1, 0, 0))
-        assert {t1.exponent, t2.exponent} == {RootOfUnity.parse("1/3").exponent,
-                                              RootOfUnity.parse("2/3").exponent}
+        assert sorted(tangent_eigenvalues(g, pt(1, 0, 0))) == [Fraction(1, 3), Fraction(2, 3)]
+        # at (0, 1, 0): 1/w and w^2/w
+        assert sorted(tangent_eigenvalues(g, pt(0, 1, 0))) == [Fraction(1, 3), Fraction(2, 3)]
+        # a reflection: 1 along its fixed line, -1 across it, in [0, 1)
+        r = mono((0, 1, 2), ("1/2", "1/2", "0"))
+        assert sorted(tangent_eigenvalues(r, pt(1, 0, 0))) == [0, Fraction(1, 2)]
 
     def test_unfixed_point_rejected(self):
         g = mono((0, 1, 2), ("0", "1/3", "2/3"))
@@ -397,7 +432,7 @@ def test_exponent_key_and_str_match_cyclotomic_reference():
             if math.gcd(k, m) != 1:
                 continue
             e = Fraction(k, m)
-            ref = RootOfUnity(e).to_cyclotomic().reduce_conductor()
+            ref = zeta(e).reduce_conductor()
             p = ProjectivePoint((Fraction(0), e, None))
             assert p.key() == ((1, (Fraction(1),)), (ref.conductor, ref.coeffs),
                                (zero.conductor, zero.coeffs)), e
@@ -408,8 +443,7 @@ def test_exponent_key_and_str_match_cyclotomic_reference():
 
 def _ref(p):
     """Coordinates of an exponent point rebuilt as CyclotomicNumbers."""
-    return [CyclotomicNumber.zero() if e is None else RootOfUnity(e).to_cyclotomic()
-            for e in p.exps]
+    return [CyclotomicNumber.zero() if e is None else zeta(e) for e in p.exps]
 
 
 def _same_point(u, v):
@@ -432,7 +466,7 @@ def _spectrum(g):
             seen.add(j)
             cycle.append(j)
             j = g.perm[j]
-        rho = sum(g.scalars[j].exponent for j in cycle)
+        rho = sum(g.scalars[j] for j in cycle)
         out += [((rho + t) / len(cycle)) % 1 for t in range(len(cycle))]
     return out
 
@@ -450,7 +484,7 @@ def _random_element(rng, perms):
     elif rng.random() < 0.5 and len(fixed) == 1:      # match a 2-cycle eigenvalue
         i, j = [x for x in range(3) if x != fixed[0]]
         exps[fixed[0]] = (exps[i] + exps[j]) / 2 + rng.choice([0, Fraction(1, 2)])
-    return MonomialMatrix(perm, tuple(RootOfUnity(e) for e in exps))
+    return MonomialMatrix(perm, tuple(exps))
 
 
 def test_exponent_points_match_cyclotomic_reference():
@@ -490,9 +524,9 @@ def test_exponent_points_match_cyclotomic_reference():
         for p in loc.points:
             image, coords = g.apply(_ref(p)), _ref(p)
             lam = next(mu for mu in spectrum
-                       if all((a - RootOfUnity(mu).to_cyclotomic() * b).is_zero()
+                       if all((a - zeta(mu) * b).is_zero()
                               for a, b in zip(image, coords)))
             rest = list(spectrum)
             rest.remove(lam)
-            got = sorted(t.exponent for t in tangent_eigenvalues(g, p))
+            got = sorted(tangent_eigenvalues(g, p))
             assert got == sorted((mu - lam) % 1 for mu in rest)

@@ -61,6 +61,31 @@ class TestParsePoly:
             parse("vars X:1 X:2\nX")
 
 
+def test_poly_text_round_trip():
+    # names, weights and terms -> "vars" header + poly_str -> parse_poly
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coeffs = st.fractions(max_denominator=50).filter(bool)
+
+    def polys(nvars):
+        exps = st.tuples(*[st.integers(0, 5)] * nvars)
+        return st.tuples(st.lists(st.integers(1, 6), min_size=nvars, max_size=nvars),
+                         st.dictionaries(exps, coeffs, max_size=6))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(polys))
+    def check(drawn):
+        weights, terms = drawn
+        names = ["X", "Y", "Z", "W"][:len(weights)]
+        header = "vars " + " ".join(f"{n}:{w}" for n, w in zip(names, weights))
+        text = f"{header}\n{S.poly_str(terms, names)}"
+        f = S.parse_poly(text)
+        assert (list(f.names), list(f.weights), f.terms) == (names, weights, terms)
+
+    check()
+
+
 class TestQuasiHomogeneity:
     def test_za_surface(self):
         for a in (0, 1):
