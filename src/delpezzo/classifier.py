@@ -161,9 +161,9 @@ def admissible_degrees(top: SurfaceProfile):
     return [n for n in range(2, top.d + 1) if top.d % n == 0]
 
 
-def configs_of_rank(rank: int, a_max: int = 24, d_max: int = 12):
+def configs_of_rank(rank: int):
     """All ADE multisets with the given total rank (canonically sorted)."""
-    types = [t for t in all_types(a_max, d_max) if t.rank <= rank]
+    types = [t for t in all_types() if t.rank <= rank]
     results = []
 
     def go(remaining, start, acc):
@@ -180,65 +180,30 @@ def configs_of_rank(rank: int, a_max: int = 24, d_max: int = 12):
                   key=lambda c: (len(c), [(t.letter, t.rank) for t in c]))
 
 
-def _point_options(t: DynkinType, n: int, available_orders):
+def _point_options(t: DynkinType, n: int, top_orders):
     """Possible preimage multisets over one bottom point of type t.
 
     Each option is a sorted tuple of local orders m_j with the covering
-    degrees T/m_j summing to n; orders m > 1 must come from the available
-    multiset (with multiplicity)."""
+    degrees T/m_j summing to n: a sub-multiset of the top orders m > 1
+    dividing T, padded with smooth preimages (m = 1, degree T)."""
     T = local_pi1_order(t)
-    choices = [1] + sorted({m for m in available_orders if m > 1 and T % m == 0})
+    usable = sorted(m for m in top_orders if m > 1 and T % m == 0)
     options = set()
-
-    def go(remaining, idx, acc, pool):
-        if remaining == 0:
-            options.add(tuple(sorted(acc)))
-            return
-        for i in range(idx, len(choices)):
-            m = choices[i]
-            deg = T // m
-            if deg > remaining:
-                continue
-            if m > 1:
-                if m not in pool:
-                    continue
-                next_pool = list(pool)
-                next_pool.remove(m)
-            else:
-                next_pool = pool
-            go(remaining - deg, i, acc + [m], next_pool)
-
-    go(n, 0, [], list(available_orders))
+    for k in range(len(usable) + 1):
+        for combo in itertools.combinations(usable, k):
+            left = n - sum(T // m for m in combo)
+            if left >= 0 and left % T == 0:
+                options.add((1,) * (left // T) + combo)
     return sorted(options)
 
 
 def _assignments(bottom_config, n, top_orders):
     """All global assignments: one option per bottom point, together using
     every top singular point exactly once."""
-    config = config_sorted(bottom_config)
-    per_point = [_point_options(t, n, top_orders) for t in config]
-    results = []
-
-    def go(i, acc, remaining):
-        if i == len(config):
-            if not remaining:
-                results.append(tuple(acc))
-            return
-        for opt in per_point[i]:
-            need = [m for m in opt if m > 1]
-            pool = list(remaining)
-            ok = True
-            for m in need:
-                if m in pool:
-                    pool.remove(m)
-                else:
-                    ok = False
-                    break
-            if ok:
-                go(i + 1, acc + [opt], pool)
-
-    go(0, [], sorted(top_orders))
-    return results
+    per_point = [_point_options(t, n, top_orders) for t in config_sorted(bottom_config)]
+    tops = sorted(top_orders)
+    return [a for a in itertools.product(*per_point)
+            if sorted(m for opt in a for m in opt if m > 1) == tops]
 
 
 PAPER_CASE_TAGS = {

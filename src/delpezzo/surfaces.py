@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .cyclotomic import (CyclotomicNumber, _poly_divmod, _poly_gcd, _poly_trim,
                          cyclotomic_polynomial)
-from .lattice import config_rank
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials: dict {exponent tuple: coefficient}
@@ -328,7 +327,9 @@ def sylvester_resultant(p, q, var, nvars):
     """Resultant of two multivariate polynomials w.r.t. variable index var.
 
     Entries of the Sylvester matrix are polynomials in the remaining
-    variables; the determinant is expanded exactly."""
+    variables; the determinant is expanded exactly.  When one polynomial
+    is constant in var the matrix is diagonal, so the resultant is that
+    constant to the other's degree."""
     def coeffs_in(poly):
         deg = max((e[var] for e in poly), default=0)
         out = [{} for _ in range(deg + 1)]
@@ -339,15 +340,6 @@ def sylvester_resultant(p, q, var, nvars):
     a = coeffs_in(p)
     b = coeffs_in(q)
     m, n = len(a) - 1, len(b) - 1
-    if m == 0 or n == 0:
-        # a constant in var: resultant is that constant to the right power
-        if m == 0 and n == 0:
-            return {}
-        base, power = (a[0], n) if m == 0 else (b[0], m)
-        out = {tuple([0] * nvars): Fraction(1)}
-        for _ in range(power):
-            out = poly_mul(out, base)
-        return out
     size = m + n
     matrix = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(n):
@@ -379,9 +371,9 @@ def _poly_det(matrix):
     return total
 
 
-def solve_system(equations, nvars, nonzero=True, _depth=0):
+def solve_system(equations, nvars, _depth=0):
     """All common solutions of rational polynomial equations, each variable
-    ranging over nonzero values when nonzero=True.
+    ranging over nonzero values.
 
     Returns (solutions, leftovers): solutions are tuples of Fraction /
     CyclotomicNumber values; a nonempty leftovers list means Indeterminate.
@@ -407,7 +399,7 @@ def solve_system(equations, nvars, nonzero=True, _depth=0):
 
     if len(present) == 1:
         # univariate: the roots of the gcd, the other variables are free
-        roots, leftovers = _common_roots([_univ_coeffs(eq, var) for eq in with_var], nonzero)
+        roots, leftovers = _common_roots([_univ_coeffs(eq, var) for eq in with_var])
         if roots and nvars > 1:
             return [], leftovers + [UNDERDETERMINED]
         return [(r,) for r in roots], leftovers
@@ -425,7 +417,7 @@ def solve_system(equations, nvars, nonzero=True, _depth=0):
         return [], [UNDERDETERMINED]
     # var does not occur in eliminated, so the value substituted is immaterial
     sub_sols, leftovers = solve_system(
-        [poly_substitute(e, var, 0) for e in eliminated], nvars - 1, nonzero, _depth + 1)
+        [poly_substitute(e, var, 0) for e in eliminated], nvars - 1, _depth + 1)
 
     others = [i for i in range(nvars) if i != var]
     solutions = []
@@ -436,7 +428,7 @@ def solve_system(equations, nvars, nonzero=True, _depth=0):
         if any(c is None for cs in coeffs for c in cs):
             leftovers.append("irrational specialization")
             continue
-        roots, left = _common_roots(coeffs, nonzero)
+        roots, left = _common_roots(coeffs)
         leftovers += left
         for r in roots:
             candidate = partial[:var] + (r,) + partial[var:]
@@ -460,8 +452,8 @@ def _rational(c):
     return c.as_rational() if isinstance(c, CyclotomicNumber) else c
 
 
-def _common_roots(polys, nonzero):
-    """(roots, leftovers) of the gcd of rational coefficient lists.  The
+def _common_roots(polys):
+    """(nonzero roots, leftovers) of the gcd of rational coefficient lists.  The
     first list stays as it is when it is alone, so that the roots come in
     the order its own coefficients give."""
     g = polys[0]
@@ -473,7 +465,7 @@ def _common_roots(polys, nonzero):
     if len(g) == 1:
         return [], []
     roots, leftover = univariate_roots(g)
-    return [r for r in roots if r or not nonzero], [leftover] if leftover else []
+    return [r for r in roots if r], [leftover] if leftover else []
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +492,7 @@ def cone_singular_points(f: WeightedPoly):
         values = {i: Fraction(0) for i in range(n) if i not in support}
         values[pivot] = Fraction(1)
         sols, left = solve_system([poly_specialize(eq, values) for eq in system],
-                                  len(free), nonzero=True)
+                                  len(free))
         leftovers.extend(left)
         for sol in sols:
             point = [Fraction(0)] * n
@@ -531,8 +523,7 @@ def germ_classify(f_terms, point):
     reported as Other, never guessed."""
     if poly_eval(f_terms, point):
         raise ValueError("the point must lie on the curve")
-    # shift the point to the origin: substitute x -> x + p
-    shifted = _shift_to_origin(f_terms, point)
+    shifted = _jet3_at(f_terms, point)
     if (1, 0) in shifted or (0, 1) in shifted:
         return GERM_SMOOTH
     a, b, c = (shifted.get(e, Fraction(0)) for e in ((2, 0), (1, 1), (0, 2)))
@@ -551,18 +542,17 @@ def germ_classify(f_terms, point):
     return GERM_CUSP if cubic else GERM_OTHER
 
 
-def _shift_to_origin(f_terms, point):
-    x = poly_clean({(1, 0): Fraction(1), (0, 0): point[0]})
-    y = poly_clean({(0, 1): Fraction(1), (0, 0): point[1]})
+def _jet3_at(f_terms, point):
+    """The terms of degree <= 3 of f(x + p, y + q): the coefficient of
+    x^a y^b is the sum of c * C(i, a) * C(j, b) * p^(i-a) * q^(j-b)."""
+    p, q = point
     out = {}
-    for (i, j), c in f_terms.items():
-        term = {(0, 0): c}
-        for _ in range(i):
-            term = poly_mul(term, x)
-        for _ in range(j):
-            term = poly_mul(term, y)
-        out = poly_add(out, term)
-    return out
+    for a in range(4):
+        for b in range(4 - a):
+            out[a, b] = sum(c * math.comb(i, a) * math.comb(j, b)
+                            * p ** (i - a) * q ** (j - b)
+                            for (i, j), c in f_terms.items() if i >= a and j >= b)
+    return poly_clean(out)
 
 
 # ---------------------------------------------------------------------------
@@ -590,55 +580,13 @@ def kodaira_reducible(t: str) -> bool:
     return t not in ("I0", "I1", "II")
 
 
-def fiber_configurations(must_contain: str = "II*", total_euler: int = 12,
-                         others_irreducible: bool = True):
+def fiber_configurations(must_contain: str = "II*", total_euler: int = 12):
     """Multisets of fibre types containing must_contain with the given total
     Euler number; the other members are irreducible singular fibres."""
     remaining = total_euler - kodaira_euler(must_contain)
     if remaining < 0:
         return []
-    # the pool is in _kodaira_sort_key order, so each choice comes out sorted
-    pool = ["I1", "II"] if others_irreducible else ["I1", "II", "III", "IV", "I0*"]
-    # each stack entry chooses how many fibres of one pool type to take,
-    # so the depth does not grow with the number of fibres; the last type
-    # takes what is left or nothing
-    out = []
-    stack = [(0, remaining, ())]
-    while stack:
-        i, left, extra = stack.pop()
-        e = kodaira_euler(pool[i])
-        if i + 1 < len(pool) and left:
-            stack.extend((i + 1, left - k * e, extra + (pool[i],) * k)
-                         for k in range(left // e + 1))
-        elif left % e == 0:
-            out.append((must_contain,) + extra + (pool[i],) * (left // e))
-    rank = {t: _kodaira_sort_key(t) for t in pool}
-    return sorted(out, key=lambda cfg: [rank[t] for t in cfg[1:]])
-
-
-def _kodaira_sort_key(t):
-    return (kodaira_euler(t), t)
-
-
-# ---------------------------------------------------------------------------
-# Noether / Euler consistency
-# ---------------------------------------------------------------------------
-
-def noether_check(d: int, config) -> dict:
-    """For a rank-1 Gorenstein log del Pezzo of degree d with the given
-    singularity configuration: b2 of the resolution is 10-d, the exceptional
-    rank is 9-d, and the Euler number of the surface is 3."""
-    if not 1 <= d <= 9:
-        raise ValueError("degree must be in [1, 9]")
-    rank = config_rank(config)
-    b2 = 10 - d
-    chi = 12 - d - rank
-    ok = rank == 9 - d and chi == 3
-    return {
-        "degree": d,
-        "b2_resolution": b2,
-        "exceptional_rank": rank,
-        "expected_rank": 9 - d,
-        "chi_surface": chi,
-        "pass": ok,
-    }
+    # the others are I1 (Euler 1) and II (Euler 2), listed in Euler order;
+    # the configurations come out with the fewest II fibres first
+    return [(must_contain,) + ("I1",) * (remaining - 2 * k) + ("II",) * k
+            for k in range(remaining // 2 + 1)]

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from delpezzo import classifier as C
-from delpezzo.lattice import parse_config
+from delpezzo.lattice import local_pi1_order, parse_config
 
 
 def test_lemma1_table_pairs():
@@ -60,6 +62,39 @@ def test_configs_of_rank():
     cfgs = {"+".join(str(t) for t in cfg) for cfg in C.configs_of_rank(2)}
     assert cfgs == {"A1+A1", "A2"}
     assert names  # silence the unused helper warning
+
+
+def _preimage_multisets(T, n):
+    """Every multiset of divisors m | T with the degrees T/m summing to n."""
+    divisors = [m for m in range(1, T + 1) if T % m == 0 and T // m <= n]
+    return sorted(ms for k in range(1, n + 1)
+                  for ms in itertools.combinations_with_replacement(divisors, k)
+                  if sum(T // m for m in ms) == n)
+
+
+def _orders_code(orders):
+    # the multiset of orders m > 1 as one integer (no count reaches 128),
+    # so the code of a whole assignment is the sum of its points' codes
+    return sum(128 ** m for m in orders if m > 1)
+
+
+def test_assignments_match_brute_force():
+    tops_list = [sorted(local_pi1_order(t) for t in row.config)
+                 for row in C.lemma1_table()] + [[2, 2], [2, 3]]
+    codes = {_orders_code(tops) for tops in tops_list}
+    for r in range(9):
+        for cfg in C.configs_of_rank(r):
+            for n in range(1, 10):
+                per_point = [_preimage_multisets(local_pi1_order(t), n) for t in cfg]
+                point_codes = [[_orders_code(ms) for ms in opts] for opts in per_point]
+                found = {code: [] for code in codes}
+                for a, code in zip(itertools.product(*per_point),
+                                   map(sum, itertools.product(*point_codes))):
+                    if code in found:
+                        found[code].append(a)
+                for tops in tops_list:
+                    assert C._assignments(cfg, n, tops) == found[_orders_code(tops)], \
+                        (cfg, n, tops)
 
 
 def test_enumerate_p2():

@@ -11,6 +11,7 @@ from delpezzo.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("quotient_golden.json").read_text())
 SURFACES_GOLDEN = json.loads(Path(__file__).with_name("surfaces_golden.json").read_text())
+CLASSIFIER_GOLDEN = json.loads(Path(__file__).with_name("classifier_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -305,11 +306,27 @@ def test_surfaces_golden_stdout(capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+@pytest.mark.parametrize("case", CLASSIFIER_GOLDEN, ids=lambda c: ":".join(c["argv"]))
+def test_classifier_golden_stdout(capsys, case):
+    # report, lemma1 and every classify top, byte for byte: survivors,
+    # exclusions and their details in enumeration order
+    assert main(case["argv"]) == case["rc"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
 def test_germ(capsys):
     code, out = run(capsys, "germ", "--poly", "vars x:1 y:1\ny^2 + x^3",
                     "--at", "0,0")
     assert code == 0 and out["germ"] == "Cusp"
     assert main(["germ", "--poly", "vars x:1 y:1\ny^2 + x^3", "--at", "1,1"]) == 2
+
+
+def test_germ_of_a_high_degree_term_reads_only_the_3_jet(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "germ", "--poly", "vars x:1 y:1\nx^2000 - 1 + y^2",
+                    "--at", "1,0")
+    assert (code, out["germ"]) == (0, "Smooth")
+    assert time.perf_counter() - start < 1
 
 
 def test_fibers(capsys):

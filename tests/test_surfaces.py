@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from delpezzo import surfaces as S
+from delpezzo.classifier import SurfaceProfile, consistency
 from delpezzo.lattice import parse_config
 
 
@@ -271,6 +272,47 @@ def test_sylvester_resultant_matches_sympy():
         assert sympy.expand(expr(ours) - expected) == 0, (p, q)
 
 
+def test_sylvester_resultant_with_a_constant_matches_sympy():
+    # constant in x: the Sylvester matrix is diagonal, so the resultant is
+    # that constant to the other polynomial's degree in x
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    c = {(0, 1): Fraction(2), (0, 0): Fraction(-3, 2)}               # 2y - 3/2
+    q = {(3, 0): Fraction(1), (1, 1): Fraction(5), (0, 0): Fraction(-1)}  # x^3 + 5xy - 1
+    power = {(0, 0): Fraction(1)}
+    for _ in range(3):
+        power = S.poly_mul(power, c)
+    expected = sympy.resultant(2 * y - sympy.Rational(3, 2), x ** 3 + 5 * x * y - 1, x)
+    for first, second in ((c, q), (q, c)):
+        ours = S.sylvester_resultant(first, second, 0, 2)
+        assert ours == power
+        assert sympy.expand(sum(sympy.Rational(v.numerator, v.denominator) * y ** e[1]
+                                for e, v in ours.items()) - expected) == 0
+    assert S.sylvester_resultant(c, {(1, 0): Fraction(1)}, 0, 2) == c
+    assert S.sylvester_resultant({}, q, 0, 2) == {}
+
+
+def test_jet3_matches_sympy():
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    rng = random.Random("3-jet vs sympy")
+    for _ in range(40):
+        f = S.poly_clean({(rng.randint(0, 7), rng.randint(0, 7)):
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 8))})
+        point = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2))
+        shifted = sympy.Poly(sympy.expand(sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * (x + sympy.Rational(point[0].numerator, point[0].denominator)) ** i
+            * (y + sympy.Rational(point[1].numerator, point[1].denominator)) ** j
+            for (i, j), c in f.items())), x, y)
+        expected = {e: Fraction(int(c.p), int(c.q)) for e, c in shifted.terms()
+                    if sum(e) <= 3 and c}
+        assert S._jet3_at(f, point) == expected, (f, point)
+
+
 class TestSingularPoints:
     def test_za_cone(self):
         for a in (0, 1):
@@ -346,7 +388,11 @@ class TestKodaira:
 
 
 def test_noether_check():
+    # rank 9 - d and chi = 12 - d - rank = 3, checked by classifier.consistency
+    def check(d, cfg):
+        return consistency(SurfaceProfile(cfg, d, parse_config(cfg)))
+
     for d, cfg in [(8, "A1"), (6, "A1+A2"), (3, "3A2"), (1, "4A2")]:
-        out = S.noether_check(d, parse_config(cfg))
+        out = check(d, cfg)
         assert out["pass"], (d, cfg, out)
-    assert not S.noether_check(3, parse_config("A1"))["pass"]
+    assert not check(3, "A1")["pass"]
