@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (DynkinType, all_types, config_rank, config_sorted,
-                      config_str, local_pi1_order, parse_config)
+                      config_str, local_pi1_order, parse_config, types_with_order)
 
 # ---------------------------------------------------------------------------
 # surface profiles and the degree table
@@ -163,7 +163,7 @@ def admissible_degrees(top: SurfaceProfile):
 
 def configs_of_rank(rank: int):
     """All ADE multisets with the given total rank (canonically sorted)."""
-    types = [t for t in all_types() if t.rank <= rank]
+    types = all_types(rank)
     results = []
 
     def go(remaining, start, acc):
@@ -299,17 +299,10 @@ def forced_point_orders(orders, n: int):
 
 
 def min_rank_for_order(T: int) -> int:
-    """Smallest rank of any ADE type with local fundamental group order T
-    (unbounded: A gives T-1, D gives T/4+2, E the three sporadic values)."""
+    """Smallest rank of any ADE type with local fundamental group order T."""
     if T < 2:
         raise ValueError("local order must be >= 2")
-    ranks = [T - 1]
-    if T % 4 == 0 and T // 4 + 2 >= 4:
-        ranks.append(T // 4 + 2)
-    sporadic = {24: 6, 48: 7, 120: 8}
-    if T in sporadic:
-        ranks.append(sporadic[T])
-    return min(ranks)
+    return min(t.rank for t in types_with_order(T))
 
 
 def _set_partitions(items):
@@ -381,15 +374,19 @@ def forced_exclusions(top: SurfaceProfile):
 # ramification inequality
 # ---------------------------------------------------------------------------
 
-def ramification_constraints(d: int, e_max: int = 9, delta_max: int = 4) -> dict:
+RAMIFICATION_E_MAX = 9
+RAMIFICATION_DELTA_MAX = 4
+
+
+def ramification_constraints(d: int) -> dict:
     """Branch data {(e_i, delta_i)} feasible under sum((e-1)/e)*delta < 1.
 
     Searching all multisets within the bounds, only the empty set and the
     singletons (e, 1) survive -- so any branch curve is irreducible."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    pairs = [(e, delta) for e in range(2, e_max + 1)
-             for delta in range(1, delta_max + 1)]
+    pairs = [(e, delta) for e in range(2, RAMIFICATION_E_MAX + 1)
+             for delta in range(1, RAMIFICATION_DELTA_MAX + 1)]
     feasible = [[]]
     for size in (1, 2):
         for combo in itertools.combinations_with_replacement(pairs, size):

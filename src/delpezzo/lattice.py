@@ -1,19 +1,16 @@
 """ADE Dynkin types, curve configurations and blow-down calculus.
 
-Covers the numerical side of du Val singularities: Cartan matrices and
-their determinants, local fundamental group orders (binary polyhedral
-groups), recognition of ADE dual graphs from intersection matrices, and
-the intersection-matrix update rule for contracting a (-1)-curve.
+Covers the numerical side of du Val singularities: the one ADE table
+(Cartan determinants and local fundamental group orders, the binary
+polyhedral groups, with its inverse), recognition of ADE dual graphs
+from intersection matrices, and the intersection-matrix update rule for
+contracting a (-1)-curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
-
-A_MAX = 24
-D_MAX = 12
 
 
 @dataclass(frozen=True, order=True)
@@ -85,47 +82,17 @@ def dynkin_edges(t: DynkinType):
     return edges
 
 
-def cartan_matrix(t: DynkinType):
-    n = t.rank
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 2
-    for i, j in dynkin_edges(t):
-        m[i][j] = -1
-        m[j][i] = -1
-    return m
-
-
-def _int_det(matrix) -> int:
-    """Determinant by Gaussian elimination over Fraction (exact; integer
-    input gives an integer)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if m[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for row in range(col + 1, n):
-            factor = m[row][col] * inv
-            if factor:
-                for k in range(col, n):
-                    m[row][k] -= factor * m[col][k]
-    assert det.denominator == 1
-    return int(det)
+_E_ORDERS = {6: 24, 7: 48, 8: 120}
 
 
 def cartan_determinant(t: DynkinType) -> int:
-    return _int_det(cartan_matrix(t))
+    """Determinant of the Cartan matrix; it equals |H^ab| for the local
+    fundamental group H."""
+    if t.letter == "A":
+        return t.rank + 1
+    if t.letter == "D":
+        return 4
+    return 9 - t.rank
 
 
 def local_pi1_order(t: DynkinType) -> int:
@@ -134,17 +101,23 @@ def local_pi1_order(t: DynkinType) -> int:
         return t.rank + 1
     if t.letter == "D":
         return 4 * (t.rank - 2)
-    return {6: 24, 7: 48, 8: 120}[t.rank]
+    return _E_ORDERS[t.rank]
 
 
-def all_types(a_max: int = A_MAX, d_max: int = D_MAX):
-    return ([A(n) for n in range(1, a_max + 1)]
-            + [D(n) for n in range(4, d_max + 1)]
-            + [E(n) for n in (6, 7, 8)])
+def all_types(max_rank: int):
+    """Every ADE type of rank at most max_rank."""
+    return ([A(n) for n in range(1, max_rank + 1)]
+            + [D(n) for n in range(4, max_rank + 1)]
+            + [E(n) for n in _E_ORDERS if n <= max_rank])
 
 
-def types_with_order(n: int, a_max: int = A_MAX, d_max: int = D_MAX):
-    return [t for t in all_types(a_max, d_max) if local_pi1_order(t) == n]
+def types_with_order(n: int):
+    """Every ADE type whose local fundamental group has order n: the exact
+    inverse of local_pi1_order."""
+    types = [A(n - 1)] if n >= 2 else []
+    if n % 4 == 0 and n >= 8:
+        types.append(D(n // 4 + 2))
+    return types + [E(k) for k, order in _E_ORDERS.items() if order == n]
 
 
 # ---------------------------------------------------------------------------

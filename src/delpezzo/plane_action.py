@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber, root_coordinates
-from .lattice import A, D, E, DynkinType, config_sorted
+from .lattice import A, DynkinType, cartan_determinant, config_sorted, types_with_order
 
 GROUP_CAP = 720
 
@@ -517,15 +517,11 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
         return Unsupported(f"non-cyclic abelian stabilizer of order {n} at {p}")
     if not in_sl2:
         return Unsupported(f"non-abelian stabilizer with reflections at {p}")
+    # a binary polyhedral group is fixed by |H| and |H^ab| = det(Cartan)
     ab = _abelianization_order(stab)
-    if n % 4 == 0 and ab == 4:
-        return D(n // 4 + 2)              # binary dihedral of order 4m -> D_{m+2}
-    if (n, ab) == (24, 3):
-        return E(6)
-    if (n, ab) == (48, 2):
-        return E(7)
-    if (n, ab) == (120, 1):
-        return E(8)
+    for t in types_with_order(n):
+        if cartan_determinant(t) == ab:
+            return t
     return Unsupported(f"unrecognized SL(2) stabilizer: order {n}, ab {ab} at {p}")
 
 

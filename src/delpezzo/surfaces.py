@@ -286,10 +286,14 @@ def rational_roots(coeffs):
     return roots
 
 
-def cyclotomic_factor_roots(coeffs, max_order: int = 24):
-    """Roots of unity appearing as roots: peel off cyclotomic factors Phi_d."""
+MAX_ROOT_OF_UNITY_ORDER = 24
+
+
+def cyclotomic_factor_roots(coeffs):
+    """Roots of unity appearing as roots: peel off cyclotomic factors Phi_d
+    for d up to MAX_ROOT_OF_UNITY_ORDER."""
     roots = []
-    for d in range(1, max_order + 1):
+    for d in range(1, MAX_ROOT_OF_UNITY_ORDER + 1):
         phi = cyclotomic_polynomial(d)
         found = False
         while len(coeffs) >= len(phi):
@@ -302,7 +306,7 @@ def cyclotomic_factor_roots(coeffs, max_order: int = 24):
     return roots, coeffs
 
 
-def univariate_roots(coeffs, name="t"):
+def univariate_roots(coeffs):
     """(roots, leftover) where roots are Fractions or CyclotomicNumbers and
     leftover is None or a residual-factor description string."""
     work = _poly_trim([Fraction(c) for c in coeffs])
@@ -319,7 +323,7 @@ def univariate_roots(coeffs, name="t"):
     roots.extend(extra)
     leftover = None
     if len(work) > 1:
-        leftover = poly_str({(i,): c for i, c in enumerate(work) if c}, (name,))
+        leftover = poly_str({(i,): c for i, c in enumerate(work) if c}, ("t",))
     return roots, leftover
 
 
@@ -329,7 +333,8 @@ def sylvester_resultant(p, q, var, nvars):
     Entries of the Sylvester matrix are polynomials in the remaining
     variables; the determinant is expanded exactly.  When one polynomial
     is constant in var the matrix is diagonal, so the resultant is that
-    constant to the other's degree."""
+    constant to the other's degree; when both are, the matrix is empty and
+    the resultant is 1, unless one of them is zero."""
     def coeffs_in(poly):
         deg = max((e[var] for e in poly), default=0)
         out = [{} for _ in range(deg + 1)]
@@ -341,6 +346,8 @@ def sylvester_resultant(p, q, var, nvars):
     b = coeffs_in(q)
     m, n = len(a) - 1, len(b) - 1
     size = m + n
+    if size == 0:
+        return {(0,) * nvars: Fraction(1)} if p and q else {}
     matrix = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(n):
         for j, c in enumerate(reversed(a)):
@@ -353,8 +360,6 @@ def sylvester_resultant(p, q, var, nvars):
 
 def _poly_det(matrix):
     n = len(matrix)
-    if n == 0:
-        return {}
     if n == 1:
         return matrix[0][0]
     # Laplace expansion along the first row (sizes stay small here)
@@ -580,9 +585,18 @@ def kodaira_reducible(t: str) -> bool:
     return t not in ("I0", "I1", "II")
 
 
+MAX_TOTAL_EULER = 1200
+
+
 def fiber_configurations(must_contain: str = "II*", total_euler: int = 12):
     """Multisets of fibre types containing must_contain with the given total
-    Euler number; the other members are irreducible singular fibres."""
+    Euler number; the other members are irreducible singular fibres.
+
+    The output grows as the square of total_euler, so totals above
+    MAX_TOTAL_EULER are refused."""
+    if total_euler > MAX_TOTAL_EULER:
+        raise ValueError(f"total Euler number {total_euler} exceeds the cap "
+                         f"{MAX_TOTAL_EULER}")
     remaining = total_euler - kodaira_euler(must_contain)
     if remaining < 0:
         return []

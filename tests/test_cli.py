@@ -346,6 +346,14 @@ def test_fibers_many_fibres(capsys):
     assert out["configs"][0][:2] == ["II*", "I1"] and out["configs"][-1][-1] == "II"
 
 
+def test_fibers_total_euler_above_the_cap_exits_2(capsys):
+    # 1200 is accepted (test_fibers_many_fibres); the output grows as N^2
+    assert main(["fibers", "--total-euler", "1201"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: total Euler number 1201 exceeds the cap 1200\n"
+
+
 def test_fibers_unknown_type_exits_2(capsys):
     assert main(["fibers", "--must-contain", "I2x"]) == 2
     assert capsys.readouterr().err == "error: unknown Kodaira fibre type 'I2x'\n"

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from delpezzo import lattice
+from delpezzo.fpgroups import Presentation, abelianization, coset_enumerate
 from delpezzo.lattice import (
     A,
     CurveConfig,
@@ -37,8 +40,55 @@ def test_local_pi1_orders():
 def test_types_with_order():
     assert set(map(str, types_with_order(8))) == {"A7", "D4"}
     assert set(map(str, types_with_order(24))) == {"A23", "D8", "E6"}
-    # A119 is past the search window, so only the sporadic type remains
-    assert set(map(str, types_with_order(120))) == {"E8"}
+    assert set(map(str, types_with_order(120))) == {"A119", "D32", "E8"}
+
+
+# The ADE table against computations that do not read it: the determinant
+# of the Cartan matrix built from the diagram, and the order and
+# abelianization of the binary polyhedral group's presentation.
+ORACLE_TYPES = lattice.all_types(24)
+
+
+def test_oracle_types_cover_rank_24():
+    assert len(ORACLE_TYPES) == 48
+    assert {t.rank for t in ORACLE_TYPES} == set(range(1, 25))
+
+
+def test_cartan_determinant_matches_sympy():
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    for t in ORACLE_TYPES:
+        rows = [[2 if i == j else 0 for j in range(t.rank)] for i in range(t.rank)]
+        for i, j in lattice.dynkin_edges(t):
+            rows[i][j] = rows[j][i] = -1
+        m = DomainMatrix.from_list_sympy(t.rank, t.rank, rows).convert_to(sympy.ZZ)
+        assert cartan_determinant(t) == m.det(), t
+
+
+def _binary_polyhedral_presentation(t):
+    """<x | x^(n+1)> for A_n; <x, y | (xy)^l = x^m = y^k> for D_n and E_n."""
+    if t.letter == "A":
+        return Presentation(1, ((1,) * (t.rank + 1),))
+    l, m, k = (2, 2, t.rank - 2) if t.letter == "D" else (2, 3, t.rank - 3)
+    return Presentation(2, ((1, 2) * l + (-1,) * m, (1,) * m + (-2,) * k))
+
+
+def test_orders_and_determinants_match_presentations():
+    for t in ORACLE_TYPES:
+        p = _binary_polyhedral_presentation(t)
+        assert coset_enumerate(p) == local_pi1_order(t), t
+        torsion, free_rank = abelianization(p)
+        assert free_rank == 0, t
+        assert math.prod(torsion) == cartan_determinant(t), t
+
+
+def test_types_with_order_inverts_local_pi1_order():
+    for n in range(1, 201):
+        # every type of order n has rank at most n - 1 (A_{n-1})
+        expected = [t for t in lattice.all_types(max(n - 1, 0))
+                    if local_pi1_order(t) == n]
+        assert types_with_order(n) == expected, n
 
 
 def test_dynkin_type_validation():
@@ -62,7 +112,7 @@ def test_config_helpers():
 
 
 def test_recognize_round_trip():
-    for t in lattice.all_types(a_max=10, d_max=8):
+    for t in lattice.all_types(10):
         assert recognize_dynkin(dynkin_curve_config(t)) == t
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo.cyclotomic import CyclotomicNumber
-from delpezzo.lattice import A, D
+from delpezzo.lattice import A, D, config_str
 from delpezzo.plane_action import (
     ActionError,
     GroupCapExceeded,
@@ -288,6 +288,15 @@ class TestClassifyStabilizer:
     def test_d4_point(self):
         group = close_group(builtin_actions()["quaternion8"])
         assert classify_stabilizer(group, pt(1, 0, 0)) == D(4)
+
+    def test_d6_point(self):
+        # binary dihedral of order 16: |H^ab| = 4 picks D6 over A15
+        group = close_group([mono((0, 1, 2), ("0", "7/8", "3/4")),
+                             mono((2, 1, 0), ("0", "1/2", "1/2"))])
+        assert group.order == 16
+        assert classify_stabilizer(group, pt(0, 1, 0)) == D(6)
+        profile = quotient_profile(group)
+        assert (profile.k2, config_str(profile.config)) == (1, "2A1+D6")
 
     def test_non_gorenstein(self):
         g = mono((0, 1, 2), ("0", "1/3", "1/3"))

@@ -293,6 +293,21 @@ def test_sylvester_resultant_with_a_constant_matches_sympy():
     assert S.sylvester_resultant({}, q, 0, 2) == {}
 
 
+def test_sylvester_resultant_of_two_constants_matches_sympy():
+    # the Sylvester matrix is empty, so the resultant is 1 unless one is zero
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    cases = [({(0,): Fraction(2)}, {(0,): Fraction(3)}, 1, sympy.Integer(2), sympy.Integer(3)),
+             ({(0, 1): Fraction(2), (0, 0): Fraction(1)}, {(0, 0): Fraction(-3, 4)}, 2,
+              2 * y + 1, sympy.Rational(-3, 4)),
+             ({}, {(0, 0): Fraction(5)}, 2, sympy.Integer(0), sympy.Integer(5))]
+    for p, q, nvars, p_expr, q_expr in cases:
+        expected = sympy.resultant(p_expr, q_expr, x)
+        ours = S.sylvester_resultant(p, q, 0, nvars)
+        assert ours == ({(0,) * nvars: expected} if expected else {}), (p, q)
+
+
 def test_jet3_matches_sympy():
     import sympy
 
