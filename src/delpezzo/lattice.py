@@ -2,14 +2,17 @@
 
 Covers the numerical side of du Val singularities: the one ADE table
 (Cartan determinants and local fundamental group orders, the binary
-polyhedral groups, with its inverse), recognition of ADE dual graphs
-from intersection matrices, and the intersection-matrix update rule for
-contracting a (-1)-curve.
+polyhedral groups, with its inverse), the cyclic quotient germs
+1/r(a, b) with their Hirzebruch-Jung chains and local Noether terms,
+recognition of ADE dual graphs from intersection matrices, and the
+intersection-matrix update rule for contracting a (-1)-curve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 
@@ -118,6 +121,100 @@ def types_with_order(n: int):
     if n % 4 == 0 and n >= 8:
         types.append(D(n // 4 + 2))
     return types + [E(k) for k, order in _E_ORDERS.items() if order == n]
+
+
+# ---------------------------------------------------------------------------
+# cyclic quotient germs 1/r(a, b)
+# ---------------------------------------------------------------------------
+
+SMOOTH = "Smooth"
+
+
+@dataclass(frozen=True)
+class NonGorensteinCyclic:
+    """The germ 1/r(a, b) with its reflections divided out (hj_normalize)."""
+
+    r: int
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if math.gcd(self.r, self.a) > 1 or math.gcd(self.r, self.b) > 1:
+            raise ValueError(f"1/{self.r}({self.a},{self.b}) still contains a reflection")
+
+    def __str__(self):
+        return f"NonGorensteinCyclic(1/{self.r}({self.a},{self.b}))"
+
+
+def hj_normalize(r: int, a: int, b: int):
+    """Reduce cyclic quotient data 1/r(a,b) by dividing out reflections.
+
+    Requires gcd(r, a, b) = 1.  The reflections fixing the two axes form
+    subgroups of the coprime orders gcd(r, a) and gcd(r, b), so one
+    division leaves r' = r / (gcd(r, a) gcd(r, b)), a' = a / gcd(r, a) and
+    b' = b / gcd(r, b).  Returns (r', a', b') with a', b' in [0, r');
+    r' = 1 means the quotient is smooth.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    a %= r
+    b %= r
+    if math.gcd(r, math.gcd(a, b)) != 1 and r > 1:
+        raise ValueError(f"non-faithful cyclic data 1/{r}({a},{b})")
+    ga, gb = math.gcd(r, a), math.gcd(r, b)
+    r //= ga * gb
+    if r == 1:
+        return (1, 0, 0)
+    return (r, a // ga % r, b // gb % r)
+
+
+def cyclic_germ(r: int, a: int, b: int):
+    """The germ C^2 / (1/r(a, b)): SMOOTH, A(r' - 1), or NonGorensteinCyclic."""
+    r, a, b = hj_normalize(r, a, b)
+    if r == 1:
+        return SMOOTH
+    if (a + b) % r == 0:
+        return A(r - 1)
+    return NonGorensteinCyclic(r, a, b)
+
+
+def hj_chain(r: int, q: int):
+    """The Hirzebruch-Jung continued fraction r/q = [b_1, ..., b_l], for
+    0 < q < r coprime: the exceptional curves of 1/r(1, q) form a chain
+    with self-intersections -b_1, ..., -b_l."""
+    chain = []
+    while q:
+        b = -(-r // q)
+        chain.append(b)
+        r, q = q, b * q - r
+    return chain
+
+
+def local_noether_terms(germ):
+    """(l, c) for a germ: l exceptional curves in its minimal resolution,
+    and c = -(sum a_i E_i)^2 for its discrepancies a_i, so that a
+    rational surface of Picard rank 1 has K^2 = 9 - sum l + sum c.
+
+    A du Val point has c = 0.  For 1/r(a, b) = 1/r(1, q) the a_i solve
+    sum_i a_i E_i.E_j = K.E_j = b_j - 2 on the chain r/q = [b_1, ..., b_l],
+    a tridiagonal system solved here exactly.
+    """
+    if germ == SMOOTH:
+        return (0, 0)
+    if isinstance(germ, DynkinType):
+        return (germ.rank, 0)
+    chain = hj_chain(germ.r, germ.b * pow(germ.a, -1, germ.r) % germ.r)
+    # Thomas algorithm with E_j^2 = -b_j and E_j.E_{j+1} = 1: a forward
+    # sweep, then back substitution from a_l
+    upper, rhs = [Fraction(0)], [Fraction(0)]
+    for b in chain:
+        pivot = -b - upper[-1]
+        upper.append(1 / pivot)
+        rhs.append((b - 2 - rhs[-1]) / pivot)
+    disc = [rhs[-1]]
+    for u, d in zip(upper[-2:0:-1], rhs[-2:0:-1]):
+        disc.append(d - u * disc[-1])
+    return (len(chain), -sum(a * (b - 2) for a, b in zip(reversed(disc), chain)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ monomial element has coordinates in {0} and the roots of unity.  A root
 of unity zeta^e = exp(2*pi*i*e) is stored everywhere as its exponent e,
 a Fraction in [0, 1), so matrix scalars, eigenvalues and points are
 multiplied, compared and hashed without field arithmetic.  Stabilizers
-are classified through Hirzebruch-Jung reduction or the binary
-polyhedral dictionary, and the quotient's K^2 and singularity
-configuration are assembled with integer arithmetic throughout.
+are classified through lattice's cyclic germs or the binary polyhedral
+dictionary, and the quotient's K^2 and singularity configuration are
+assembled with integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, root_coordinates
-from .lattice import A, DynkinType, cartan_determinant, config_sorted, types_with_order
+from .cyclotomic import root_coordinates
+from .lattice import (DynkinType, cartan_determinant, config_sorted, cyclic_germ,
+                      local_noether_terms, types_with_order)
 
 GROUP_CAP = 720
 
@@ -90,16 +91,6 @@ class MonomialMatrix:
         denominators of lambda_i - lambda_0."""
         lams = [lam for lam, _ in eigen_data(self)]
         return math.lcm(*(((lam - lams[0]) % 1).denominator for lam in lams[1:]))
-
-    def apply(self, coords):
-        """Image of a coordinate vector of cyclotomic numbers: the field
-        reference that ProjectivePoint.transformed is checked against."""
-        out = [None, None, None]
-        for j, e in enumerate(self.scalars):
-            # times zeta^e: a Fraction factor would scale by e itself
-            zeta_e = CyclotomicNumber.zeta(e.denominator, e.numerator)
-            out[self.perm[j]] = coords[j] * zeta_e
-        return out
 
     def normal_action(self) -> "MonomialMatrix":
         """The induced action on line normals (inverse transpose)."""
@@ -299,14 +290,6 @@ class Line:
         return f"{{{self.normal} . x = 0}}"
 
 
-def _cross(u, v):
-    """u x v over any ring: the field reference that _cross_point is checked
-    against."""
-    return [u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0]]
-
-
 def _cross_point(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
     """p x q: the line (normal) through two points, or the meet of two lines
     given by their normals.
@@ -410,51 +393,8 @@ def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
 
 
 # ---------------------------------------------------------------------------
-# Hirzebruch-Jung reduction and stabilizer classification
+# stabilizer classification
 # ---------------------------------------------------------------------------
-
-def hj_normalize(r: int, a: int, b: int):
-    """Reduce cyclic quotient data 1/r(a,b) by dividing out reflections.
-
-    While gcd(r, a) > 1 divide it out of r and a (and symmetrically for
-    b); requires gcd(r, a, b) = 1.  Returns the reduced (r', a', b') with
-    a', b' in [0, r'); r' = 1 means the quotient is smooth.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    a %= r
-    b %= r
-    if math.gcd(r, math.gcd(a, b)) != 1 and r > 1:
-        raise ValueError(f"non-faithful cyclic data 1/{r}({a},{b})")
-    changed = True
-    while changed and r > 1:
-        changed = False
-        g = math.gcd(r, a)
-        if g > 1:
-            r //= g
-            a //= g
-            b %= r
-            changed = True
-        g = math.gcd(r, b)
-        if g > 1:
-            r //= g
-            b //= g
-            a %= r
-            changed = True
-    if r == 1:
-        return (1, 0, 0)
-    return (r, a % r, b % r)
-
-
-@dataclass(frozen=True)
-class NonGorensteinCyclic:
-    r: int
-    a: int
-    b: int
-
-    def __str__(self):
-        return f"NonGorensteinCyclic(1/{self.r}({self.a},{self.b}))"
-
 
 @dataclass(frozen=True)
 class Unsupported:
@@ -462,9 +402,6 @@ class Unsupported:
 
     def __str__(self):
         return f"Unsupported({self.reason})"
-
-
-SMOOTH = "Smooth"
 
 
 def _stabilizer(group: FiniteActionGroup, p: ProjectivePoint):
@@ -481,8 +418,8 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
     """Local classification of the quotient singularity at the image of p.
 
     stab, when given, is the stabilizer of p in group (a list of its
-    elements); otherwise it is computed.  Returns SMOOTH, a DynkinType,
-    NonGorensteinCyclic, or Unsupported.
+    elements); otherwise it is computed.  Returns lattice.SMOOTH, a
+    DynkinType, lattice.NonGorensteinCyclic, or Unsupported.
     """
     if stab is None:
         stab = _stabilizer(group, p)
@@ -495,27 +432,13 @@ def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None)
         # cyclic stabilizer: read 1/r(a,b) off the generator's tangent action
         t1, t2 = tangent_eigenvalues(generator, p)
         r = math.lcm(t1.denominator, t2.denominator)
-        a = int(t1 * r)
-        b = int(t2 * r)
-        r2, a2, b2 = hj_normalize(r, a, b)
-        if r2 == 1:
-            return SMOOTH
-        if (a2 + b2) % r2 == 0:
-            return A(r2 - 1)
-        return NonGorensteinCyclic(r2, a2, b2)
-    # non-cyclic: decide whether the tangent representation lies in SL(2)
-    abelian = all(x * y == y * x for x, y in itertools.combinations(nontrivial, 2))
-    in_sl2 = True
-    for g in nontrivial:
-        t1, t2 = tangent_eigenvalues(g, p)
-        if (t1 + t2) % 1 != 0:
-            in_sl2 = False
-            break
-    if abelian:
+        return cyclic_germ(r, int(t1 * r), int(t2 * r))
+    if all(x * y == y * x for x, y in itertools.combinations(nontrivial, 2)):
         # finite abelian subgroups of SL(2) are cyclic, so this is neither
         # cyclic nor small: a reflection-laden abelian group
         return Unsupported(f"non-cyclic abelian stabilizer of order {n} at {p}")
-    if not in_sl2:
+    # non-abelian: decide whether the tangent representation lies in SL(2)
+    if any(sum(tangent_eigenvalues(g, p)) % 1 for g in nontrivial):
         return Unsupported(f"non-abelian stabilizer with reflections at {p}")
     # a binary polyhedral group is fixed by |H| and |H^ab| = det(Cartan)
     ab = _abelianization_order(stab)
@@ -572,18 +495,22 @@ class QuotientProfile:
 
 
 def _orbits(group: FiniteActionGroup, items, image):
-    """Partition items into group orbits, in order of first appearance:
-    a list of orbits, each a dict whose keys are its members in the order
-    the group elements produce them."""
+    """The orbits of a G-stable list of items, each met first at its
+    earliest member: yields (first, orbit, stabilizer), the orbit's
+    members in the order the group elements produce them and the
+    stabilizer of first, both read off one list of images."""
     unassigned = dict.fromkeys(items)
-    out = []
-    while unassigned:
-        first = next(iter(unassigned))
-        orbit = dict.fromkeys(image(first, g) for g in group.elements)
+    for first in items:
+        if first not in unassigned:
+            continue
+        images = [image(first, g) for g in group.elements]
+        orbit = list(dict.fromkeys(images))
         for x in orbit:
-            unassigned.pop(x, None)
-        out.append(orbit)
-    return out
+            if x not in unassigned:
+                raise RuntimeError(f"the image {x} of {first} is not among the "
+                                   "items: they are not G-stable")
+            del unassigned[x]
+        yield first, orbit, [g for g, x in zip(group.elements, images) if x == first]
 
 
 def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
@@ -591,9 +518,13 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
 
     Candidate points are the isolated fixed points of all non-identity
     elements plus the meets of every pair of distinct pointwise-fixed
-    lines; candidates are grouped into orbits and
-    classified; branch lines get their ramification index from the order
-    of their pointwise stabilizer.
+    lines.  Conjugate elements have conjugate fixed loci, so both the
+    candidates and the lines are G-stable: sorted by key, each orbit is
+    met first at its key-least member, its representative.  Special
+    orbits are classified by their stabilizers; branch lines get their
+    ramification index from the order of their pointwise stabilizer.
+    K^2 from the branch lines is checked against the local Noether terms
+    of the special orbits.
     """
     n = group.order
     loci = [fixed_locus(g) for g in group.non_identity()]
@@ -603,19 +534,15 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     for loc in loci:
         if loc.line is not None:
             line_e[loc.line] = line_e.get(loc.line, 1) + 1
-    lines = list(line_e)
+    lines = sorted(line_e, key=lambda l: l.normal.key())
 
-    # candidate points, in order of first appearance
-    candidates = dict.fromkeys(p for loc in loci for p in loc.points)
-    for l1, l2 in itertools.combinations(lines, 2):
-        candidates[l1.meet(l2)] = None
+    candidates = {p for loc in loci for p in loc.points}
+    candidates.update(l1.meet(l2) for l1, l2 in itertools.combinations(lines, 2))
 
-    # group candidates into orbits
     orbits = []
-    orbit_points = []        # parallel to orbits: the full point orbit
-    for orbit in _orbits(group, candidates, ProjectivePoint.transformed):
-        rep = min(orbit, key=ProjectivePoint.key)
-        stab = _stabilizer(group, rep)
+    special = []             # every point of a special orbit
+    for rep, orbit, stab in _orbits(group, sorted(candidates, key=ProjectivePoint.key),
+                                    ProjectivePoint.transformed):
         if len(orbit) * len(stab) != n:
             raise ActionError(f"orbit of {rep} has size {len(orbit)} but its "
                               f"stabilizer has order {len(stab)} in a group of order {n}")
@@ -625,35 +552,29 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
         if isinstance(cls, Unsupported):
             raise ActionError(str(cls))
         orbits.append(OrbitData(rep, len(orbit), len(stab), cls))
-        orbit_points.append(list(orbit))
-    order = sorted(range(len(orbits)), key=lambda i: orbits[i].representative.key())
-    orbits = [orbits[i] for i in order]
-    orbit_points = [orbit_points[i] for i in order]
+        special += orbit
+    branch = [BranchLineData(rep, line_e[rep], len(orbit))
+              for rep, orbit, _ in _orbits(group, lines, Line.transformed)]
 
-    # branch line orbits
-    branch = []
-    line_orbits = []         # parallel to branch: the full line orbit
-    for orbit in _orbits(group, lines, Line.transformed):
-        rep = min(orbit, key=lambda l: l.normal.key())
-        branch.append(BranchLineData(rep, line_e[rep], len(orbit)))
-        line_orbits.append(list(orbit))
-    order = sorted(range(len(branch)), key=lambda i: branch[i].line.normal.key())
-    branch = [branch[i] for i in order]
-    line_orbits = [line_orbits[i] for i in order]
-
-    # K^2 bookkeeping: K_{P^2} = f^* K_V + sum (e-1) Gamma over branch lines
+    # K^2 bookkeeping: K_{P^2} = f^* K_V + sum (e-1) Gamma over branch lines;
+    # the minimal resolution of V, of Picard rank 1 + sum l, gives 9 - sum l + sum c
     total = 3 + sum((b.e - 1) * b.orbit_size for b in branch)
+    terms = [local_noether_terms(o.classification) for o in orbits]
+    local = 9 - sum(l for l, _ in terms) + sum(c for _, c in terms)
+    if Fraction(total * total, n) != local:
+        raise RuntimeError(f"K^2 = {total}^2/{n} from the branch lines but {local} "
+                           "from the local Noether terms")
     if (total * total) % n != 0:
         raise ActionError(f"K^2 = {total}^2/{n} is not an integer")
     k2 = total * total // n
 
     config = config_sorted([o.classification for o in orbits
                             if isinstance(o.classification, DynkinType)])
-    euler = _euler_stratification(n, orbit_points, branch, line_orbits)
+    euler = _euler_stratification(n, special, len(orbits), line_e)
     return QuotientProfile(n, k2, config, orbits, branch, euler)
 
 
-def _euler_stratification(n, orbit_points, branch, line_orbits):
+def _euler_stratification(n, special, special_orbits, line_e):
     """Euler-number multiplicativity, stratum by stratum.
 
     P^2 splits into the free locus, the pointwise-fixed lines minus
@@ -664,24 +585,20 @@ def _euler_stratification(n, orbit_points, branch, line_orbits):
     With no branch lines this is exactly
     3 - #special points = |G| * (3 - #special orbits).
     """
-    special = [p for orbit in orbit_points for p in orbit]
     chi_line_strata = 0      # upstairs
     chi_line_images = Fraction(0)
-    for b, orbit_lines in zip(branch, line_orbits):
-        chi = 0
-        for l in orbit_lines:
-            on_line = sum(1 for p in special if l.contains(p))
-            chi += 2 - on_line
+    for line, e in line_e.items():
+        chi = 2 - sum(1 for p in special if line.contains(p))
         chi_line_strata += chi
-        chi_line_images += Fraction(chi * b.e, n)
+        chi_line_images += Fraction(chi * e, n)
     chi_free = 3 - chi_line_strata - len(special)
     ok = chi_free % n == 0 and chi_line_images.denominator == 1
-    chi_quotient = Fraction(chi_free, n) + chi_line_images + len(orbit_points)
+    chi_quotient = Fraction(chi_free, n) + chi_line_images + special_orbits
     ok = ok and chi_quotient == 3
     return {"chi_free": chi_free,
             "chi_line_strata": chi_line_strata,
             "special_points": len(special),
-            "special_orbits": len(orbit_points),
+            "special_orbits": special_orbits,
             "chi_quotient": int(chi_quotient) if chi_quotient.denominator == 1
             else str(chi_quotient),
             "pass": bool(ok)}

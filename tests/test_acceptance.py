@@ -18,6 +18,7 @@ from delpezzo import lattice as L
 from delpezzo import plane_action as P
 from delpezzo import surfaces as S
 from delpezzo.cyclotomic import CyclotomicNumber
+from field_reference import apply, cross
 
 N_CASES = 1000
 
@@ -258,7 +259,7 @@ def test_criterion_8b_fixed_points():
                           CyclotomicNumber.zero())
                 assert dot.is_zero()
                 assert q.transformed(g) == q
-                assert all(c.is_zero() for c in P._cross(g.apply(coords), coords))
+                assert all(c.is_zero() for c in cross(apply(g, coords), coords))
                 on_lines[3 - normal.exps.count(None)] += 1
         assert on_lines[1] >= 100 and on_lines[2] >= 20
 
@@ -287,15 +288,15 @@ def test_criterion_8d_hj_normalize():
                 a, b = rng.randrange(r), rng.randrange(r)
                 if math.gcd(r, math.gcd(a, b)) == 1:
                     break
-            ra, aa, ba = P.hj_normalize(r, a, b)
-            rb, ab, bb = P.hj_normalize(r, b, a)
+            ra, aa, ba = L.hj_normalize(r, a, b)
+            rb, ab, bb = L.hj_normalize(r, b, a)
             assert ra == rb and {aa, ba} == {ab, bb}
             # 1/r(a, r-a) with gcd(a, r) = 1 is the A_{r-1} germ
             while True:
                 a = rng.randrange(1, r)
                 if math.gcd(a, r) == 1:
                     break
-            r2, a2, b2 = P.hj_normalize(r, a, r - a)
+            r2, a2, b2 = L.hj_normalize(r, a, r - a)
             assert r2 == r and (a2 + b2) % r2 == 0
 
 

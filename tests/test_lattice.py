@@ -1,22 +1,30 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from delpezzo import lattice
 from delpezzo.fpgroups import Presentation, abelianization, coset_enumerate
 from delpezzo.lattice import (
+    SMOOTH,
     A,
     CurveConfig,
     D,
     DynkinType,
     E,
+    NonGorensteinCyclic,
     NotADE,
     blow_down,
     cartan_determinant,
     config_rank,
     config_str,
+    cyclic_germ,
     dynkin_curve_config,
+    hj_chain,
+    hj_normalize,
     ii_star_fiber,
+    local_noether_terms,
     local_pi1_order,
     parse_config,
     recognize_dynkin,
@@ -89,6 +97,130 @@ def test_types_with_order_inverts_local_pi1_order():
         expected = [t for t in lattice.all_types(max(n - 1, 0))
                     if local_pi1_order(t) == n]
         assert types_with_order(n) == expected, n
+
+
+# ---------------------------------------------------------------------------
+# cyclic quotient germs
+# ---------------------------------------------------------------------------
+
+def _hj_normalize_by_loop(r, a, b):
+    """Divide reflections out of 1/r(a, b) one gcd at a time until none is
+    left: the iterative form of hj_normalize's single division."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    a %= r
+    b %= r
+    if math.gcd(r, math.gcd(a, b)) != 1 and r > 1:
+        raise ValueError(f"non-faithful cyclic data 1/{r}({a},{b})")
+    changed = True
+    while changed and r > 1:
+        changed = False
+        g = math.gcd(r, a)
+        if g > 1:
+            r //= g
+            a //= g
+            b %= r
+            changed = True
+        g = math.gcd(r, b)
+        if g > 1:
+            r //= g
+            b //= g
+            a %= r
+            changed = True
+    if r == 1:
+        return (1, 0, 0)
+    return (r, a % r, b % r)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_hj_normalize_matches_reference_loop():
+    refused = 0
+    for r in range(1, 61):
+        for a in range(-r, 2 * r):
+            for b in range(r + 1):
+                want = _outcome(_hj_normalize_by_loop, r, a, b)
+                assert _outcome(hj_normalize, r, a, b) == want, (r, a, b)
+                refused += isinstance(want, str)
+    assert refused > 0
+
+
+def test_cyclic_germ():
+    assert cyclic_germ(1, 0, 0) == SMOOTH
+    assert cyclic_germ(2, 0, 1) == SMOOTH                # a reflection
+    assert cyclic_germ(6, 2, 3) == SMOOTH                # two, of coprime orders
+    assert cyclic_germ(3, 1, 2) == A(2)
+    assert cyclic_germ(12, 3, 2) == A(1)                 # 1/12(3, 2) -> 1/2(1, 1)
+    assert cyclic_germ(8, 2, 3) == A(3)                  # 1/8(2, 3) -> 1/4(1, 3)
+    assert cyclic_germ(3, 1, 1) == NonGorensteinCyclic(3, 1, 1)
+    assert cyclic_germ(10, 2, 5) == SMOOTH
+    assert cyclic_germ(15, 3, 5) == SMOOTH
+    assert cyclic_germ(14, 2, 3) == NonGorensteinCyclic(7, 1, 3)
+    assert str(cyclic_germ(5, 1, 2)) == "NonGorensteinCyclic(1/5(1,2))"
+    with pytest.raises(ValueError, match="non-faithful"):
+        cyclic_germ(4, 2, 2)
+
+
+def test_non_gorenstein_cyclic_rejects_reflections():
+    for r, a, b in [(4, 2, 1), (6, 1, 3), (9, 3, 3)]:
+        with pytest.raises(ValueError, match="reflection"):
+            NonGorensteinCyclic(r, a, b)
+
+
+def _continued_fraction(chain):
+    value = Fraction(chain[-1])
+    for b in reversed(chain[:-1]):
+        value = b - 1 / value
+    return value
+
+
+def test_hj_chain():
+    assert hj_chain(3, 1) == [3]
+    assert hj_chain(5, 2) == [3, 2]
+    assert hj_chain(7, 3) == [3, 2, 2]
+    assert hj_chain(7, 6) == [2] * 6                     # A6
+    for r in range(2, 40):
+        for q in range(1, r):
+            if math.gcd(r, q) == 1:
+                chain = hj_chain(r, q)
+                assert min(chain) >= 2 and _continued_fraction(chain) == Fraction(r, q)
+
+
+def test_local_noether_terms():
+    assert local_noether_terms(SMOOTH) == (0, 0)
+    assert local_noether_terms(D(5)) == (5, 0)
+    assert local_noether_terms(NonGorensteinCyclic(3, 1, 1)) == (1, Fraction(1, 3))
+    assert local_noether_terms(NonGorensteinCyclic(5, 1, 2)) == (2, Fraction(2, 5))
+    assert local_noether_terms(NonGorensteinCyclic(7, 1, 3)) == (3, Fraction(3, 7))
+    # 1/r(a, b) = 1/r(1, b/a) = 1/r(a/b, 1): the chain of the inverse is reversed
+    assert local_noether_terms(NonGorensteinCyclic(7, 2, 6)) == (3, Fraction(3, 7))
+    assert local_noether_terms(NonGorensteinCyclic(7, 3, 1)) == (3, Fraction(3, 7))
+
+
+def test_local_noether_terms_match_sympy():
+    import sympy
+
+    rng = random.Random(909)
+    for _ in range(200):
+        r = rng.randint(2, 40)
+        a, b = rng.choice([k for k in range(1, r) if math.gcd(k, r) == 1]), 0
+        while math.gcd(b, r) != 1:
+            b = rng.randrange(1, r)
+        chain = hj_chain(r, b * pow(a, -1, r) % r)
+        n = len(chain)
+        m = sympy.Matrix(n, n, lambda i, j: -chain[i] if i == j else int(abs(i - j) == 1))
+        disc = m.solve(sympy.Matrix([bj - 2 for bj in chain]))
+        c = -(disc.T * m * disc)[0, 0]
+        germ = cyclic_germ(r, a, b)
+        if (a + b) % r == 0:
+            assert germ == A(r - 1) and c == 0
+        else:
+            assert local_noether_terms(germ) == (n, Fraction(int(c.p), int(c.q))), (r, a, b)
 
 
 def test_dynkin_type_validation():

@@ -8,29 +8,29 @@ from pathlib import Path
 import pytest
 
 from delpezzo.cyclotomic import CyclotomicNumber
-from delpezzo.lattice import A, D, config_str
+from delpezzo import plane_action
+from delpezzo.lattice import (SMOOTH, A, D, NonGorensteinCyclic, config_str, hj_normalize,
+                              local_noether_terms)
 from delpezzo.plane_action import (
     ActionError,
     GroupCapExceeded,
     Line,
     MonomialMatrix,
-    NonGorensteinCyclic,
     ProjectivePoint,
-    SMOOTH,
     _abelianization_order,
-    _cross,
     _cross_point,
+    _orbits,
     _stabilizer,
     builtin_actions,
     classify_stabilizer,
     close_group,
     fixed_locus,
-    hj_normalize,
     parse_action,
     parse_exponent,
     quotient_profile,
     tangent_eigenvalues,
 )
+from field_reference import apply, cross
 
 
 def mono(perm, scalars):
@@ -347,8 +347,6 @@ def test_bench_tracer_sees_plane_action(monkeypatch):
     # or renames one would silently empty the plane_action metrics
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from bench.tracing import Tracer, instrument
-    from delpezzo import plane_action
-
     tracer = Tracer()
     instrument(tracer)
     try:
@@ -369,7 +367,7 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     # must put every original back
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from bench.tracing import Tracer, instrument
-    from delpezzo import classifier, cli, cyclotomic, fpgroups, lattice, plane_action, surfaces
+    from delpezzo import classifier, cli, cyclotomic, fpgroups, lattice, surfaces
 
     owners = [classifier, cli, cyclotomic, fpgroups, lattice, plane_action, surfaces,
               plane_action.ProjectivePoint, plane_action.OrbitData,
@@ -392,6 +390,96 @@ def test_unsupported_action_raises():
     g = mono((0, 1, 2), ("0", "1/3", "1/3"))
     with pytest.raises(ActionError):
         quotient_profile(close_group([g]))
+
+
+# ---------------------------------------------------------------------------
+# one image pass per orbit over G-stable lists in key order
+# ---------------------------------------------------------------------------
+
+def _candidates_and_lines(group):
+    """The candidate points and pointwise-fixed lines of quotient_profile,
+    recomputed here: isolated fixed points, meets of pairs of lines."""
+    loci = [fixed_locus(g) for g in group.non_identity()]
+    lines = list(dict.fromkeys(loc.line for loc in loci if loc.line is not None))
+    points = {p for loc in loci for p in loc.points}
+    points.update(l1.meet(l2) for l1, l2 in itertools.combinations(lines, 2))
+    return points, lines
+
+
+def test_orbit_pass_against_brute_force():
+    rng = random.Random(1103)
+    perms = list(itertools.permutations(range(3)))
+    groups = answered = 0
+    while groups < 300:
+        m = rng.choice((2, 3, 4))
+        gens = [MonomialMatrix(rng.choice(perms), tuple(Fraction(rng.randrange(m), m)
+                                                        for _ in range(3)))
+                for _ in range(rng.choice((1, 2)))]
+        try:
+            group = close_group(gens, cap=16)
+        except GroupCapExceeded:
+            continue
+        if group.order == 1:
+            continue
+        groups += 1
+        points, lines = _candidates_and_lines(group)
+        brute = {}           # orbit minimum -> (orbit size, stabilizer order)
+        for first, orbit, stab in _orbits(group, sorted(points, key=ProjectivePoint.key),
+                                          ProjectivePoint.transformed):
+            full = {first.transformed(g) for g in group.elements}
+            assert set(orbit) == full and first == min(full, key=ProjectivePoint.key)
+            assert stab == _stabilizer(group, first)
+            brute[first] = (len(full), len(stab))
+        try:
+            profile = quotient_profile(group)
+        except ActionError:
+            continue
+        answered += 1
+        keys = [o.representative.key() for o in profile.orbits]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for o in profile.orbits:
+            assert brute[o.representative] == (o.size, o.stabilizer_order)
+        keys = [b.line.normal.key() for b in profile.branch_lines]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for b in profile.branch_lines:
+            full = {b.line.transformed(g) for g in group.elements}
+            assert b.line.normal == min((l.normal for l in full), key=ProjectivePoint.key)
+            assert b.orbit_size == len(full) and full <= set(lines)
+    assert answered >= 150, answered
+
+
+def test_orbits_refuse_a_list_that_is_not_g_stable():
+    group = close_group(builtin_actions()["z3"])
+    with pytest.raises(RuntimeError, match="not G-stable"):
+        list(_orbits(group, [pt(1, 1, 1)], ProjectivePoint.transformed))
+
+
+def test_refusal_names_the_key_least_unsupported_point():
+    gens = parse_action('[{"perm":[0,1,2],"scalars":["1/2","0","0"]},'
+                        '{"perm":[0,2,1],"scalars":["0","0","0"]}]')
+    with pytest.raises(ActionError, match=r"of order 4 at \[0, 1, -1\]\)$"):
+        quotient_profile(close_group(gens))
+
+
+def test_k2_from_the_local_noether_terms():
+    # Z/7 acting by (1, 2, 4): three 1/7(1, 3) points give 9 - 3*3 + 3*3/7
+    # = 9/7 = 3^2/7, which the library still refuses as non-integral
+    group = close_group([mono((0, 1, 2), ("1/7", "2/7", "4/7"))])
+    terms = [local_noether_terms(classify_stabilizer(group, p))
+             for p in (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))]
+    assert terms == [(3, Fraction(3, 7))] * 3
+    with pytest.raises(ActionError, match=r"K\^2 = 3\^2/7 is not an integer"):
+        quotient_profile(group)
+
+
+def test_k2_mismatch_is_an_internal_error(monkeypatch):
+    def off_by_one(germ):
+        length, c = local_noether_terms(germ)
+        return length + 1, c
+
+    monkeypatch.setattr(plane_action, "local_noether_terms", off_by_one)
+    with pytest.raises(RuntimeError, match="local Noether terms"):
+        quotient_profile(close_group(builtin_actions()["z3"]))
 
 
 def test_line_meet():
@@ -456,7 +544,7 @@ def _ref(p):
 
 
 def _same_point(u, v):
-    return all(c.is_zero() for c in _cross(u, v))
+    return all(c.is_zero() for c in cross(u, v))
 
 
 def _dot(u, v):
@@ -508,11 +596,11 @@ def test_exponent_points_match_cyclotomic_reference():
 
     for g in elements:
         for p in rng.sample(points, 2):
-            assert _same_point(_ref(p.transformed(g)), g.apply(_ref(p)))
+            assert _same_point(_ref(p.transformed(g)), apply(g, _ref(p)))
 
     for l1, l2 in itertools.combinations(lines, 2):
         q = l1.meet(l2)
-        assert _same_point(_ref(q), _cross(_ref(l1.normal), _ref(l2.normal)))
+        assert _same_point(_ref(q), cross(_ref(l1.normal), _ref(l2.normal)))
         assert l1.contains(q) and l2.contains(q)
 
     # contains: sums of up to two terms from the monomial loci, and of
@@ -531,7 +619,7 @@ def test_exponent_points_match_cyclotomic_reference():
     for g, loc in zip(elements, loci):
         spectrum = _spectrum(g)
         for p in loc.points:
-            image, coords = g.apply(_ref(p)), _ref(p)
+            image, coords = apply(g, _ref(p)), _ref(p)
             lam = next(mu for mu in spectrum
                        if all((a - zeta(mu) * b).is_zero()
                               for a, b in zip(image, coords)))
