@@ -195,26 +195,19 @@ def local_noether_terms(germ):
     and c = -(sum a_i E_i)^2 for its discrepancies a_i, so that a
     rational surface of Picard rank 1 has K^2 = 9 - sum l + sum c.
 
-    A du Val point has c = 0.  For 1/r(a, b) = 1/r(1, q) the a_i solve
-    sum_i a_i E_i.E_j = K.E_j = b_j - 2 on the chain r/q = [b_1, ..., b_l],
-    a tridiagonal system solved here exactly.
+    A du Val point has c = 0.  For 1/r(a, b) = 1/r(1, q), with the chain
+    r/q = [b_1, ..., b_l] and q q' = 1 mod r, the closed form is
+    c = (q + q' + 2)/r - 2 + sum_i (b_i - 2).
     """
     if germ == SMOOTH:
         return (0, 0)
     if isinstance(germ, DynkinType):
         return (germ.rank, 0)
-    chain = hj_chain(germ.r, germ.b * pow(germ.a, -1, germ.r) % germ.r)
-    # Thomas algorithm with E_j^2 = -b_j and E_j.E_{j+1} = 1: a forward
-    # sweep, then back substitution from a_l
-    upper, rhs = [Fraction(0)], [Fraction(0)]
-    for b in chain:
-        pivot = -b - upper[-1]
-        upper.append(1 / pivot)
-        rhs.append((b - 2 - rhs[-1]) / pivot)
-    disc = [rhs[-1]]
-    for u, d in zip(upper[-2:0:-1], rhs[-2:0:-1]):
-        disc.append(d - u * disc[-1])
-    return (len(chain), -sum(a * (b - 2) for a, b in zip(reversed(disc), chain)))
+    r = germ.r
+    q = germ.b * pow(germ.a, -1, r) % r
+    chain = hj_chain(r, q)
+    c = Fraction(q + pow(q, -1, r) + 2, r) - 2 + sum(b - 2 for b in chain)
+    return (len(chain), c)
 
 
 # ---------------------------------------------------------------------------

@@ -404,41 +404,47 @@ class Unsupported:
         return f"Unsupported({self.reason})"
 
 
-def _stabilizer(group: FiniteActionGroup, p: ProjectivePoint):
-    return [g for g in group.elements if p.transformed(g) == p]
+def _generators(elements):
+    """A generating set of the group whose elements are given: in their
+    order, each element outside the subgroup the earlier picks generate."""
+    gens, span = [], {MonomialMatrix.identity()}
+    for g in elements:
+        if g not in span:
+            gens.append(g)
+            span = _closure(gens, len(elements))
+    return gens
 
 
 def _abelianization_order(elements):
-    """|H / [H,H]| for a finite group given as a list of elements."""
-    commutators = {x * y * x.inverse() * y.inverse() for x in elements for y in elements}
-    return len(elements) // len(_closure(commutators, len(elements)))
+    """|H / [H,H]| for a finite group H given as a list of its elements;
+    [H,H] is generated by the conjugates of the generators' commutators."""
+    gens = _generators(elements)
+    commutators = [x * y * x.inverse() * y.inverse()
+                   for x, y in itertools.combinations(gens, 2)]
+    conjugates = {h * c * h.inverse() for h in elements for c in commutators}
+    return len(elements) // len(_closure(conjugates, len(elements)))
 
 
-def classify_stabilizer(group: FiniteActionGroup, p: ProjectivePoint, stab=None):
-    """Local classification of the quotient singularity at the image of p.
-
-    stab, when given, is the stabilizer of p in group (a list of its
-    elements); otherwise it is computed.  Returns lattice.SMOOTH, a
-    DynkinType, lattice.NonGorensteinCyclic, or Unsupported.
-    """
-    if stab is None:
-        stab = _stabilizer(group, p)
+def classify_stabilizer(stab, p: ProjectivePoint):
+    """Local classification of the quotient singularity at the image of p
+    from the list stab of its stabilizer's elements: lattice.SMOOTH, a
+    DynkinType, lattice.NonGorensteinCyclic, or Unsupported."""
     if len(stab) == 1:
         raise ActionError(f"point {p} has trivial stabilizer")
-    nontrivial = [g for g in stab if not g.is_identity()]
     n = len(stab)
-    generator = next((g for g in sorted(nontrivial) if g.order() == n), None)
+    generator = next((g for g in sorted(stab) if not g.is_identity() and g.order() == n), None)
     if generator is not None:
-        # cyclic stabilizer: read 1/r(a,b) off the generator's tangent action
+        # cyclic stabilizer: read 1/n(a,b) off the generator's tangent action
         t1, t2 = tangent_eigenvalues(generator, p)
-        r = math.lcm(t1.denominator, t2.denominator)
-        return cyclic_germ(r, int(t1 * r), int(t2 * r))
-    if all(x * y == y * x for x, y in itertools.combinations(nontrivial, 2)):
+        return cyclic_germ(n, int(t1 * n), int(t2 * n))
+    gens = _generators(stab)
+    if all(x * y == y * x for x, y in itertools.combinations(gens, 2)):
         # finite abelian subgroups of SL(2) are cyclic, so this is neither
         # cyclic nor small: a reflection-laden abelian group
         return Unsupported(f"non-cyclic abelian stabilizer of order {n} at {p}")
-    # non-abelian: decide whether the tangent representation lies in SL(2)
-    if any(sum(tangent_eigenvalues(g, p)) % 1 for g in nontrivial):
+    # non-abelian: the tangent determinant is a character, so the tangent
+    # representation lies in SL(2) exactly when the generators' do
+    if any(sum(tangent_eigenvalues(g, p)) % 1 for g in gens):
         return Unsupported(f"non-abelian stabilizer with reflections at {p}")
     # a binary polyhedral group is fixed by |H| and |H^ab| = det(Cartan)
     ab = _abelianization_order(stab)
@@ -548,7 +554,7 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
                               f"stabilizer has order {len(stab)} in a group of order {n}")
         if len(stab) == 1:
             continue        # free orbit: never a singular image
-        cls = classify_stabilizer(group, rep, stab)
+        cls = classify_stabilizer(stab, rep)
         if isinstance(cls, Unsupported):
             raise ActionError(str(cls))
         orbits.append(OrbitData(rep, len(orbit), len(stab), cls))

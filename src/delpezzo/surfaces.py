@@ -83,17 +83,6 @@ def poly_specialize(a, values):
     return a
 
 
-def poly_eval(a, values):
-    total = Fraction(0)
-    for e, c in a.items():
-        term = c
-        for i, exp in enumerate(e):
-            if exp:
-                term = term * values[i] ** exp
-        total = term + total
-    return total
-
-
 def poly_str(a, names):
     if not a:
         return "0"
@@ -376,7 +365,7 @@ def _poly_det(matrix):
     return total
 
 
-def solve_system(equations, nvars, _depth=0):
+def solve_system(equations, nvars):
     """All common solutions of rational polynomial equations, each variable
     ranging over nonzero values.
 
@@ -388,16 +377,12 @@ def solve_system(equations, nvars, _depth=0):
         return [], []          # nonzero constant: no solution
     if nvars == 0:
         return [()], []
-    if _depth > 12:
-        return [], ["elimination depth exceeded"]
     if not equations:
         return [], [UNDERDETERMINED]
 
     # variables actually present
     present = [i for i in range(nvars)
                if any(e[i] for eq in equations for e in eq)]
-    if not present:
-        return [], ["no variables left in nonzero equations"]
     var = present[-1]
     with_var = [eq for eq in equations if any(e[var] for e in eq)]
     without = [eq for eq in equations if not any(e[var] for e in eq)]
@@ -422,7 +407,7 @@ def solve_system(equations, nvars, _depth=0):
         return [], [UNDERDETERMINED]
     # var does not occur in eliminated, so the value substituted is immaterial
     sub_sols, leftovers = solve_system(
-        [poly_substitute(e, var, 0) for e in eliminated], nvars - 1, _depth + 1)
+        [poly_substitute(e, var, 0) for e in eliminated], nvars - 1)
 
     others = [i for i in range(nvars) if i != var]
     solutions = []
@@ -437,7 +422,8 @@ def solve_system(equations, nvars, _depth=0):
         leftovers += left
         for r in roots:
             candidate = partial[:var] + (r,) + partial[var:]
-            if not any(poly_eval(eq, candidate) for eq in equations):
+            if not any(poly_specialize(eq, dict(enumerate(candidate)))
+                       for eq in equations):
                 solutions.append(candidate)
     return solutions, leftovers
 
@@ -526,7 +512,7 @@ def germ_classify(f_terms, point):
 
     Smooth / Node (A1) / Cusp (A2) by the 3-jet; anything degenerate is
     reported as Other, never guessed."""
-    if poly_eval(f_terms, point):
+    if poly_specialize(f_terms, dict(enumerate(point))):
         raise ValueError("the point must lie on the curve")
     shifted = _jet3_at(f_terms, point)
     if (1, 0) in shifted or (0, 1) in shifted:

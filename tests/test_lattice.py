@@ -202,6 +202,31 @@ def test_local_noether_terms():
     assert local_noether_terms(NonGorensteinCyclic(7, 3, 1)) == (3, Fraction(3, 7))
 
 
+def _thomas_noether_c(chain):
+    """c = -(sum a_i E_i)^2, with the discrepancies a_i solving the
+    tridiagonal system sum_i a_i E_i.E_j = b_j - 2 on the chain (E_j^2 =
+    -b_j, E_j.E_{j+1} = 1): a forward sweep, then back substitution."""
+    upper, rhs = [Fraction(0)], [Fraction(0)]
+    for b in chain:
+        pivot = -b - upper[-1]
+        upper.append(1 / pivot)
+        rhs.append((b - 2 - rhs[-1]) / pivot)
+    disc = [rhs[-1]]
+    for u, d in zip(upper[-2:0:-1], rhs[-2:0:-1]):
+        disc.append(d - u * disc[-1])
+    return -sum(a * (b - 2) for a, b in zip(reversed(disc), chain))
+
+
+def test_local_noether_terms_closed_form_matches_the_tridiagonal_solve():
+    # every non-Gorenstein 1/r(1, q) with r <= 60; q = r - 1 is the du Val A_{r-1}
+    for r in range(3, 61):
+        for q in range(1, r - 1):
+            if math.gcd(r, q) == 1:
+                chain = hj_chain(r, q)
+                germ = NonGorensteinCyclic(r, 1, q)
+                assert local_noether_terms(germ) == (len(chain), _thomas_noether_c(chain))
+
+
 def test_local_noether_terms_match_sympy():
     import sympy
 

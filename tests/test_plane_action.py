@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -17,10 +18,12 @@ from delpezzo.plane_action import (
     Line,
     MonomialMatrix,
     ProjectivePoint,
+    Unsupported,
     _abelianization_order,
+    _closure,
     _cross_point,
+    _generators,
     _orbits,
-    _stabilizer,
     builtin_actions,
     classify_stabilizer,
     close_group,
@@ -43,6 +46,11 @@ def pt(*coords):
     known = {0: None, 1: Fraction(0), -1: Fraction(1, 2)}
     return ProjectivePoint([known[c] if c in known else parse_exponent(c)
                             for c in coords])
+
+
+def _stabilizer(group, p):
+    """The stabilizer of p, by brute force over the group's elements."""
+    return [g for g in group.elements if p.transformed(g) == p]
 
 
 def zeta(e):
@@ -278,36 +286,42 @@ class TestHJ:
 class TestClassifyStabilizer:
     def test_a2_point(self):
         group = close_group(builtin_actions()["z3"])
-        assert classify_stabilizer(group, pt(0, 0, 1)) == A(2)
+        p = pt(0, 0, 1)
+        assert classify_stabilizer(_stabilizer(group, p), p) == A(2)
 
     def test_smooth_point_in_z6(self):
         group = close_group(builtin_actions()["z6"])
         # full stabilizer but reflections reduce the germ to a smooth one
-        assert classify_stabilizer(group, pt(1, 0, 0)) == SMOOTH
+        p = pt(1, 0, 0)
+        assert classify_stabilizer(_stabilizer(group, p), p) == SMOOTH
 
     def test_d4_point(self):
         group = close_group(builtin_actions()["quaternion8"])
-        assert classify_stabilizer(group, pt(1, 0, 0)) == D(4)
+        p = pt(1, 0, 0)
+        assert classify_stabilizer(_stabilizer(group, p), p) == D(4)
 
     def test_d6_point(self):
         # binary dihedral of order 16: |H^ab| = 4 picks D6 over A15
         group = close_group([mono((0, 1, 2), ("0", "7/8", "3/4")),
                              mono((2, 1, 0), ("0", "1/2", "1/2"))])
         assert group.order == 16
-        assert classify_stabilizer(group, pt(0, 1, 0)) == D(6)
+        p = pt(0, 1, 0)
+        assert classify_stabilizer(_stabilizer(group, p), p) == D(6)
         profile = quotient_profile(group)
         assert (profile.k2, config_str(profile.config)) == (1, "2A1+D6")
 
     def test_non_gorenstein(self):
         g = mono((0, 1, 2), ("0", "1/3", "1/3"))
         group = close_group([g])
-        out = classify_stabilizer(group, pt(1, 0, 0))
+        p = pt(1, 0, 0)
+        out = classify_stabilizer(_stabilizer(group, p), p)
         assert out == NonGorensteinCyclic(3, 1, 1)
 
     def test_trivial_stabilizer_rejected(self):
         group = close_group(builtin_actions()["z3"])
+        p = pt(1, -1, "1/5")
         with pytest.raises(ActionError):
-            classify_stabilizer(group, pt(1, -1, "1/5"))
+            classify_stabilizer(_stabilizer(group, p), p)
 
     def test_quaternion_abelianization(self):
         # Q8 / [Q8, Q8] = Q8 / {+-1} is the Klein four-group
@@ -315,6 +329,79 @@ class TestClassifyStabilizer:
         stab = _stabilizer(group, pt(1, 0, 0))
         assert len(stab) == 8
         assert _abelianization_order(stab) == 4
+
+
+def _all_pairs_abelianization_order(elements):
+    """|H / [H,H]| with [H,H] generated by the commutators of all pairs."""
+    commutators = {x * y * x.inverse() * y.inverse()
+                   for x, y in itertools.combinations(elements, 2)}
+    return len(elements) // len(_closure(commutators, len(elements)))
+
+
+def test_stabilizer_generators_against_all_pairs():
+    # greedy generators span the stabilizer, and the abelian verdict, the
+    # SL(2) verdict and |H^ab| read off them agree with the definitions
+    # over all pairs or all elements
+    rng = random.Random(1211)
+    perms = list(itertools.permutations(range(3)))
+    stabilizers = non_abelian = 0
+    while stabilizers < 300:
+        m = rng.choice((2, 3, 4, 6))
+        gens = [MonomialMatrix(rng.choice(perms), tuple(Fraction(rng.randrange(m), m)
+                                                        for _ in range(3)))
+                for _ in range(rng.choice((1, 2)))]
+        try:
+            group = close_group(gens, cap=24)
+        except GroupCapExceeded:
+            continue
+        points = {p for g in group.non_identity() for p in fixed_locus(g).points}
+        seen = set()
+        for p, _, stab in _orbits(group, sorted(points, key=ProjectivePoint.key),
+                                  ProjectivePoint.transformed):
+            if frozenset(stab) in seen:
+                continue
+            seen.add(frozenset(stab))
+            stabilizers += 1
+            picks = _generators(stab)
+            assert _closure(picks, len(stab)) == set(stab)
+            abelian = all(x * y == y * x for x, y in itertools.combinations(stab, 2))
+            assert abelian == all(x * y == y * x for x, y in itertools.combinations(picks, 2))
+            non_abelian += not abelian
+            if abelian:
+                # every commutator is trivial
+                assert _abelianization_order(stab) == len(stab)
+                continue
+            assert _abelianization_order(stab) == _all_pairs_abelianization_order(stab)
+            in_sl2 = all(not sum(tangent_eigenvalues(g, p)) % 1 for g in stab)
+            refused = Unsupported(f"non-abelian stabilizer with reflections at {p}")
+            assert (classify_stabilizer(stab, p) == refused) == (not in_sl2)
+    assert non_abelian >= 30, non_abelian
+
+
+@pytest.mark.parametrize("gens, bound", [
+    # diag(1, 1, z26), diag(1, z26, 1): Z/26 x Z/26, refused as non-cyclic abelian
+    ([mono((0, 1, 2), ("0", "0", "1/26")), mono((0, 1, 2), ("0", "1/26", "0"))], 2000),
+    # a diagonal group of order 144, refused the same way
+    ([mono((0, 1, 2), ("0", "7/12", "0")), mono((0, 1, 2), ("0", "1/2", "1/12"))], 500),
+    (builtin_actions()["quaternion8"], 100),
+    # the binary dihedral group of order 16 of test_d6_point
+    ([mono((0, 1, 2), ("0", "7/8", "3/4")), mono((2, 1, 0), ("0", "1/2", "1/2"))], 250),
+], ids=["order676", "order144", "quaternion8", "d6"])
+def test_quotient_profile_constructions_are_bounded(monkeypatch, gens, bound):
+    # a deterministic work counter: a scan over all pairs of stabilizer
+    # elements would build |H|^2 matrices and break these bounds
+    group = close_group(gens)
+    built = [0]
+    post_init = MonomialMatrix.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(MonomialMatrix, "__post_init__", counted)
+    with contextlib.suppress(ActionError):       # a refusal counts too
+        quotient_profile(group)
+    assert built[0] <= bound
 
 
 PROFILES = {
@@ -465,7 +552,7 @@ def test_k2_from_the_local_noether_terms():
     # Z/7 acting by (1, 2, 4): three 1/7(1, 3) points give 9 - 3*3 + 3*3/7
     # = 9/7 = 3^2/7, which the library still refuses as non-integral
     group = close_group([mono((0, 1, 2), ("1/7", "2/7", "4/7"))])
-    terms = [local_noether_terms(classify_stabilizer(group, p))
+    terms = [local_noether_terms(classify_stabilizer(_stabilizer(group, p), p))
              for p in (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))]
     assert terms == [(3, Fraction(3, 7))] * 3
     with pytest.raises(ActionError, match=r"K\^2 = 3\^2/7 is not an integer"):
