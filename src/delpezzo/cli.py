@@ -311,14 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", help="singularity profile of P^2 / G")
     p.add_argument("--action", help="action JSON (file or literal)")
     p.add_argument("--builtin", help="name of a built-in action")
-    p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("classify", help="enumerate covers of a top surface")
     p.add_argument("--top", required=True, help="P2, Q, or lemma1:<row>")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("lemma1", help="the degree table with consistency checks")
-    p.set_defaults(func=cmd_lemma1)
+    sub.add_parser("lemma1", help="the degree table with consistency checks")
 
     p = sub.add_parser("group", help="coset enumeration of a presentation")
     p.add_argument("--presentation", help="presentation text (default: stdin)")
@@ -326,41 +323,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abelianization", action="store_true")
     p.add_argument("--hom", type=int, metavar="D",
                    help="also count homomorphisms to Z/D")
-    p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("mumford", help="boundary fundamental group presentation")
     p.add_argument("--i", type=int, required=True)
-    p.set_defaults(func=cmd_mumford)
 
     p = sub.add_parser("recognize", help="recognize an ADE dual graph")
     p.add_argument("--config", required=True, help="curve config JSON (file or literal)")
-    p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("blowdown", help="contract a (-1)-curve")
     p.add_argument("--config", required=True, help="curve config JSON (file or literal)")
     p.add_argument("--curve", required=True, help="label of the curve to contract")
-    p.set_defaults(func=cmd_blowdown)
 
     p = sub.add_parser("wps", help="weighted hypersurface checks")
     p.add_argument("--poly", required=True, help="polynomial text (file or literal)")
     p.add_argument("--param", action="append", metavar="NAME=Q")
     p.add_argument("--singular", action="store_true",
                    help="compute the cone singular locus")
-    p.set_defaults(func=cmd_wps)
 
     p = sub.add_parser("germ", help="classify a plane-curve germ")
     p.add_argument("--poly", required=True)
     p.add_argument("--param", action="append", metavar="NAME=Q")
     p.add_argument("--at", required=True, help="point as x,y rationals")
-    p.set_defaults(func=cmd_germ)
 
     p = sub.add_parser("fibers", help="elliptic fibre configurations")
     p.add_argument("--must-contain", default="II*")
     p.add_argument("--total-euler", type=int, default=12)
-    p.set_defaults(func=cmd_fibers)
 
-    p = sub.add_parser("report", help="the aggregated classification report")
-    p.set_defaults(func=cmd_report)
+    sub.add_parser("report", help="the aggregated classification report")
 
     return parser
 
@@ -373,7 +362,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        result = args.func(args)
+        # looked up at call time, so a replaced cmd_* module attribute is the one run
+        result = globals()[f"cmd_{args.command}"](args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,12 +123,13 @@ def root_coordinates(e: Fraction) -> tuple:
     """(conductor, coefficients) of zeta^e, e in [0, 1), in the smallest
     cyclotomic field that contains it: the form
     ``CyclotomicNumber.reduce_conductor`` gives, computed without building
-    a CyclotomicNumber, so CONDUCTOR_CAP does not apply."""
+    a CyclotomicNumber, so CONDUCTOR_CAP does not apply.  The coefficients
+    are ints: Phi_m is monic, so reducing a power of zeta stays integral."""
     m, k, sign = e.denominator, e.numerator, 1
     if m % 4 == 2:
         # Q(zeta_m) = Q(zeta_{m/2}) and zeta_m^k = -zeta_{m/2}^((k + m/2)/2)
         m, k, sign = m // 2, (k + m // 2) // 2, -1
-    return (m, _reduce_mod_phi([0] * k + [sign], m))
+    return (m, tuple(int(c) for c in _reduce_mod_phi([0] * k + [sign], m)))
 
 
 # ---------------------------------------------------------------------------

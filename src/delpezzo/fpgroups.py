@@ -273,46 +273,26 @@ def coset_enumerate(p: Presentation, bound: int = DEFAULT_COSET_BOUND) -> int:
 # Smith normal form and abelianization
 # ---------------------------------------------------------------------------
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(matrix):
     """Return (U, D, V) with U*M*V = D, U and V unimodular, and D diagonal
-    with each diagonal entry dividing the next."""
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
+    with each diagonal entry dividing the next.
+
+    The work is done on the augmented matrix [[M, I], [I, 0]]: a row
+    operation on its first `rows` rows carries U along beside M, and a
+    column operation on its first `cols` columns carries V along below it."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    m = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(matrix)]
+    m += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     def row_op(a, b, k):      # row a += k * row b
-        for j in range(cols):
-            m[a][j] += k * m[b][j]
-        for j in range(rows):
-            u[a][j] += k * u[b][j]
+        row, other = m[a], m[b]
+        for j in range(cols + rows):
+            row[j] += k * other[j]
 
     def col_op(a, b, k):      # col a += k * col b
-        for i in range(rows):
-            m[i][a] += k * m[i][b]
-        for i in range(cols):
-            v[i][a] += k * v[i][b]
-
-    def row_swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        u[a], u[b] = u[b], u[a]
-
-    def col_swap(a, b):
-        for i in range(rows):
-            m[i][a], m[i][b] = m[i][b], m[i][a]
-        for i in range(cols):
-            v[i][a], v[i][b] = v[i][b], v[i][a]
-
-    def row_negate(a):
-        for j in range(cols):
-            m[a][j] = -m[a][j]
-        for j in range(rows):
-            u[a][j] = -u[a][j]
+        for row in m:
+            row[a] += k * row[b]
 
     t = 0
     while t < min(rows, cols):
@@ -326,38 +306,28 @@ def smith_normal_form(matrix):
             break
         i, j = pivot
         if i != t:
-            row_swap(t, i)
+            m[t], m[i] = m[i], m[t]
         if j != t:
-            col_swap(t, j)
+            for row in m:
+                row[t], row[j] = row[j], row[t]
         if m[t][t] < 0:
-            row_negate(t)
-        dirty = False
+            m[t] = [-x for x in m[t]]
         for i in range(t + 1, rows):
-            if m[i][t] % m[t][t] != 0:
-                dirty = True
             row_op(i, t, -(m[i][t] // m[t][t]))
         for j in range(t + 1, cols):
-            if m[t][j] % m[t][t] != 0:
-                dirty = True
             col_op(j, t, -(m[t][j] // m[t][t]))
-        if dirty or any(m[i][t] for i in range(t + 1, rows)) \
-                or any(m[t][j] for j in range(t + 1, cols)):
+        # what is left in row and column t are the remainders
+        if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][j] for j in range(t + 1, cols)):
             continue  # re-pick pivot; remainders shrank
-        # enforce divisibility d_t | d_{t+1..}
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        # enforce divisibility d_t | d_{t+1..}: add the first offending row
+        offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                         if m[i][j] % m[t][t]), None)
         if offender is not None:
             row_op(t, offender, 1)
             continue
         t += 1
-    d = [[m[i][j] for j in range(cols)] for i in range(rows)]
-    return u, d, v
+    return ([row[cols:] for row in m[:rows]], [row[:cols] for row in m[:rows]],
+            [row[:cols] for row in m[rows:]])
 
 
 def abelianization(p: Presentation):

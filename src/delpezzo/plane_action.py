@@ -195,7 +195,7 @@ THIRDS = {Fraction(1, 3), Fraction(2, 3)}
 def _root_key(e):
     """(conductor, coefficients) of zeta^e, or of 0 when e is None, in the
     smallest cyclotomic field that contains it."""
-    return (1, (Fraction(0),)) if e is None else root_coordinates(e)
+    return (1, (0,)) if e is None else root_coordinates(e)
 
 
 def _root_str(e) -> str:
@@ -415,10 +415,10 @@ def _generators(elements):
     return gens
 
 
-def _abelianization_order(elements):
-    """|H / [H,H]| for a finite group H given as a list of its elements;
-    [H,H] is generated by the conjugates of the generators' commutators."""
-    gens = _generators(elements)
+def _abelianization_order(elements, gens):
+    """|H / [H,H]| for a finite group H given as a list of its elements
+    and a generating set gens; [H,H] is generated by the conjugates of the
+    generators' commutators."""
     commutators = [x * y * x.inverse() * y.inverse()
                    for x, y in itertools.combinations(gens, 2)]
     conjugates = {h * c * h.inverse() for h in elements for c in commutators}
@@ -428,11 +428,15 @@ def _abelianization_order(elements):
 def classify_stabilizer(stab, p: ProjectivePoint):
     """Local classification of the quotient singularity at the image of p
     from the list stab of its stabilizer's elements: lattice.SMOOTH, a
-    DynkinType, lattice.NonGorensteinCyclic, or Unsupported."""
+    DynkinType, lattice.NonGorensteinCyclic, or Unsupported.
+
+    stab must be sorted, as _orbits yields it: a cyclic stabilizer is read
+    off its least element of order n, and another generator would give
+    another label 1/r(a, b) for the same germ."""
     if len(stab) == 1:
         raise ActionError(f"point {p} has trivial stabilizer")
     n = len(stab)
-    generator = next((g for g in sorted(stab) if not g.is_identity() and g.order() == n), None)
+    generator = next((g for g in stab if not g.is_identity() and g.order() == n), None)
     if generator is not None:
         # cyclic stabilizer: read 1/n(a,b) off the generator's tangent action
         t1, t2 = tangent_eigenvalues(generator, p)
@@ -447,7 +451,7 @@ def classify_stabilizer(stab, p: ProjectivePoint):
     if any(sum(tangent_eigenvalues(g, p)) % 1 for g in gens):
         return Unsupported(f"non-abelian stabilizer with reflections at {p}")
     # a binary polyhedral group is fixed by |H| and |H^ab| = det(Cartan)
-    ab = _abelianization_order(stab)
+    ab = _abelianization_order(stab, gens)
     for t in types_with_order(n):
         if cartan_determinant(t) == ab:
             return t

@@ -272,6 +272,29 @@ def test_smith_normal_form_divisibility():
     assert d[1][1] % d[0][0] == 0
 
 
+@pytest.mark.parametrize("m, expected", [
+    ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
+     ([[1, 0, 0], [-22, 1, 5], [-885, 40, 201]],
+      [[2, 0, 0], [0, 2, 0], [0, 0, 156]],
+      [[1, -34, 66], [0, 1, -2], [0, 16, -31]])),
+    ([[6, -4, 10]],
+     ([[-1]], [[2, 0, 0]], [[1, -2, -1], [2, -3, 1], [0, 0, 1]])),
+    ([[4], [-6], [10]],
+     ([[2, 1, 0], [-3, -2, 0], [-4, -1, 1]], [[2], [0], [0]], [[1]])),
+    ([[0, 0], [0, 0]],
+     ([[1, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 1]])),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+     ([[1, 0, 0], [4, -1, 0], [1, -2, 1]],
+      [[1, 0, 0], [0, 3, 0], [0, 0, 0]],
+      [[1, -2, 1], [0, 1, -2], [0, 0, 1]])),
+], ids=["3x3", "1x3", "3x1", "zero", "rank2"])
+def test_smith_normal_form_transforms_are_pinned(m, expected):
+    # U*M*V = D holds for many (U, V); these are the ones the pivot rule
+    # and the order of elementary operations give, so a rewrite that
+    # changes either shows here
+    assert smith_normal_form(m) == expected
+
+
 def test_abelianization_free_rank():
     torsion, free_rank = abelianization(Presentation(3, [[1, 1]]))
     assert torsion == [2]
