@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 DEFAULT_COSET_BOUND = 10_000
 MAX_PRESENTATION_LETTERS = 100_000      # relator letters, after expanding powers
+MAX_PRESENTATION_GENERATORS = 100       # each gives up to two coset-table columns
 
 
 class CosetBoundExceeded(RuntimeError):
@@ -79,6 +80,8 @@ def parse_presentation(text: str) -> Presentation:
         value = value.strip()
         if key == "gens":
             ngens = int(value)
+            if ngens > MAX_PRESENTATION_GENERATORS:
+                raise ValueError(f"more than {MAX_PRESENTATION_GENERATORS} generators")
         elif key == "rel":
             word = []
             for factor in value.split("*"):
@@ -313,9 +316,11 @@ def smith_normal_form(matrix):
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
         for i in range(t + 1, rows):
-            row_op(i, t, -(m[i][t] // m[t][t]))
+            if k := m[i][t] // m[t][t]:
+                row_op(i, t, -k)
         for j in range(t + 1, cols):
-            col_op(j, t, -(m[t][j] // m[t][t]))
+            if k := m[t][j] // m[t][t]:
+                col_op(j, t, -k)
         # what is left in row and column t are the remainders
         if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][j] for j in range(t + 1, cols)):
             continue  # re-pick pivot; remainders shrank

@@ -250,18 +250,6 @@ class ProjectivePoint:
         return f"ProjectivePoint({self})"
 
 
-def _vanishes(terms) -> bool:
-    """Whether the sum of zeta^t over the exponents t (at most three) is 0.
-
-    Two roots of unity cancel only as z - z, three only as a rotation of
-    1 + w + w^2 with w a primitive cube root of unity."""
-    if len(terms) < 2:
-        return not terms
-    t0 = terms[0]
-    offsets = {(t - t0) % 1 for t in terms[1:]}
-    return offsets == ({HALF} if len(terms) == 2 else THIRDS)
-
-
 class Line:
     """Line in P^2 stored by its normal vector, a ProjectivePoint."""
 
@@ -271,14 +259,18 @@ class Line:
         self.normal = normal
 
     def contains(self, p: ProjectivePoint) -> bool:
-        return _vanishes([a + b for a, b in zip(self.normal.exps, p.exps)
-                          if a is not None and b is not None])
+        """Whether normal . p, a sum of at most three roots of unity, is 0:
+        two cancel only as z - z, three only as a rotation of 1 + w + w^2
+        with w a primitive cube root of unity."""
+        terms = [a + b for a, b in zip(self.normal.exps, p.exps)
+                 if a is not None and b is not None]
+        if len(terms) < 2:
+            return not terms
+        offsets = {(t - terms[0]) % 1 for t in terms[1:]}
+        return offsets == ({HALF} if len(terms) == 2 else THIRDS)
 
     def transformed(self, m: MonomialMatrix) -> "Line":
         return Line(self.normal.transformed(m.normal_action()))
-
-    def meet(self, other: "Line") -> ProjectivePoint:
-        return _cross_point(self.normal, other.normal)
 
     def __eq__(self, other):
         return isinstance(other, Line) and self.normal == other.normal
@@ -288,32 +280,6 @@ class Line:
 
     def __str__(self):
         return f"{{{self.normal} . x = 0}}"
-
-
-def _cross_point(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
-    """p x q: the line (normal) through two points, or the meet of two lines
-    given by their normals.
-
-    Each factor must have a zero coordinate, as the eigenvectors of
-    diagonal elements and 2-cycles, and the fixed-line normals built from
-    them, do.  Then every entry of the cross product has at most one
-    nonzero term, except when p and q have the same two-element support;
-    then only that entry survives and the product is a coordinate point.
-    """
-    if None not in p.exps or None not in q.exps:
-        raise ActionError(f"cross product of {p} and {q}: a factor has no zero coordinate")
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        terms = []
-        if p.exps[j] is not None and q.exps[k] is not None:
-            terms.append(p.exps[j] + q.exps[k])
-        if p.exps[k] is not None and q.exps[j] is not None:
-            terms.append(p.exps[k] + q.exps[j] + HALF)      # minus sign
-        if len(terms) == 2:
-            terms = [] if _vanishes(terms) else [Fraction(0)]
-        out.append(terms[0] if terms else None)
-    return ProjectivePoint(out)
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +329,17 @@ class FixedLocus:
 
 def fixed_locus(g: MonomialMatrix) -> FixedLocus:
     """Isolated fixed points and the pointwise-fixed line (if any) of a
-    non-identity projective transformation."""
+    non-identity projective transformation.  g is unitary and not scalar,
+    so a double eigenspace is v^perp for the one isolated eigenvector v, and
+    the line's normal is conj(v): the exponents of v negated."""
     if g.is_identity():
         raise ActionError("fixed_locus of the identity is everything")
     pairs = eigen_data(g)
     values = [lam for lam, _ in pairs]
-    counts = {lam: values.count(lam) for lam in values}
-    if max(counts.values()) == 1:
-        return FixedLocus([v for _, v in pairs], None)
-    # multiplicity 3 would force g scalar = identity; so exactly one double
-    double = next(lam for lam, c in counts.items() if c == 2)
-    plane = [v for lam, v in pairs if lam == double]
-    isolated = [v for lam, v in pairs if lam != double]
-    return FixedLocus(isolated, Line(_cross_point(plane[0], plane[1])))
+    isolated = [v for lam, v in pairs if values.count(lam) == 1]
+    line = None if len(isolated) == 3 else Line(ProjectivePoint(
+        [None if e is None else -e for e in isolated[0].exps]))
+    return FixedLocus(isolated, line)
 
 
 def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
@@ -527,14 +491,16 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     """Singularity configuration and K^2 of P^2 / G.
 
     Candidate points are the isolated fixed points of all non-identity
-    elements plus the meets of every pair of distinct pointwise-fixed
-    lines.  Conjugate elements have conjugate fixed loci, so both the
-    candidates and the lines are G-stable: sorted by key, each orbit is
-    met first at its key-least member, its representative.  Special
-    orbits are classified by their stabilizers; branch lines get their
-    ramification index from the order of their pointwise stabilizer.
-    K^2 from the branch lines is checked against the local Noether terms
-    of the special orbits.
+    elements.  They include the meet p of any two distinct fixed lines, of
+    g1 and g2: at p these act on the tangent plane as unitary reflections
+    with distinct mirrors, so g1*g2 != 1 fixes no tangent vector there and
+    p is an isolated fixed point of g1*g2.  Conjugate elements have
+    conjugate fixed loci, so both the candidates and the lines are
+    G-stable: sorted by key, each orbit is met first at its key-least
+    member, its representative.  Special orbits are classified by their
+    stabilizers; branch lines get their ramification index from the order
+    of their pointwise stabilizer.  K^2 from the branch lines is checked
+    against the local Noether terms of the special orbits.
     """
     n = group.order
     loci = [fixed_locus(g) for g in group.non_identity()]
@@ -545,14 +511,11 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
         if loc.line is not None:
             line_e[loc.line] = line_e.get(loc.line, 1) + 1
     lines = sorted(line_e, key=lambda l: l.normal.key())
-
-    candidates = {p for loc in loci for p in loc.points}
-    candidates.update(l1.meet(l2) for l1, l2 in itertools.combinations(lines, 2))
+    candidates = sorted({p for loc in loci for p in loc.points}, key=ProjectivePoint.key)
 
     orbits = []
     special = []             # every point of a special orbit
-    for rep, orbit, stab in _orbits(group, sorted(candidates, key=ProjectivePoint.key),
-                                    ProjectivePoint.transformed):
+    for rep, orbit, stab in _orbits(group, candidates, ProjectivePoint.transformed):
         if len(orbit) * len(stab) != n:
             raise ActionError(f"orbit of {rep} has size {len(orbit)} but its "
                               f"stabilizer has order {len(stab)} in a group of order {n}")

@@ -134,6 +134,19 @@ class WeightedPoly:
 
 
 _TERM_RE = re.compile(r"[+-]|[^+\-\s]+")
+MAX_COEFFICIENT_BITS = 4096     # numerator and denominator of a term's coefficient
+
+
+def _times_power(coeff: Fraction, base: Fraction, power: int, term: str) -> Fraction:
+    """coeff * base**power, refused past MAX_COEFFICIENT_BITS.  An integer of
+    b bits has more than (b - 1) * power bits to that power: checked first."""
+    size = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
+    if (size - 1) * power < MAX_COEFFICIENT_BITS:
+        coeff *= base ** power
+        if max(abs(coeff.numerator).bit_length(),
+               coeff.denominator.bit_length()) <= MAX_COEFFICIENT_BITS:
+            return coeff
+    raise ValueError(f"the coefficient of {term!r} passes {MAX_COEFFICIENT_BITS} bits")
 
 
 def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
@@ -184,15 +197,14 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
             power = int(power) if caret else 1
             if base in index:
                 expo[index[base]] += power
-            elif base in params:
-                coeff *= params[base] ** power
-            else:
-                try:
-                    coeff *= Fraction(base) ** power
-                except ValueError:
-                    raise ValueError(f"unknown symbol {base!r} in polynomial") from None
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {base!r}") from None
+                continue
+            try:
+                value = params[base] if base in params else Fraction(base)
+            except ValueError:
+                raise ValueError(f"unknown symbol {base!r} in polynomial") from None
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {base!r}") from None
+            coeff = _times_power(coeff, value, power, tok)
         e = tuple(expo)
         terms[e] = terms.get(e, Fraction(0)) + coeff
         pending = False

@@ -16,7 +16,9 @@ def apply(g, coords):
 
 
 def cross(u, v):
-    """u x v over any ring: the reference _cross_point is checked against."""
+    """u x v over any ring: the reference that fixed-line normals (the cross
+    of the two eigenvectors of a double eigenvalue) and the meets of two
+    fixed lines (the cross of their normals) are checked against."""
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0]]

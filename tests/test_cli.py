@@ -164,6 +164,14 @@ def test_group_long_relator_is_refused_fast(capsys):
     assert code == 0 and out["order"] == 7
 
 
+@pytest.mark.parametrize("ngens", [101, 3_000_000, 100_000_000])
+def test_group_too_many_generators_is_refused_fast(capsys, ngens):
+    start = time.perf_counter()
+    assert main(["group", "--presentation", f"gens={ngens}; rel=1^2"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: bad presentation: more than 100 generators\n"
+
+
 def test_group_hom_below_1_exits_2(capsys):
     assert main(["group", "--presentation", "gens=1; rel=1^6", "--hom", "0"]) == 2
     assert "--hom" in capsys.readouterr().err
@@ -279,6 +287,20 @@ def test_wps_singular_too_many_variables_is_refused(capsys):
 def test_wps_bad_polynomial_exits_2(capsys, text):
     assert main(["wps", "--poly", text]) == 2
     assert capsys.readouterr().err.startswith("error: bad polynomial: ")
+
+
+@pytest.mark.parametrize("argv, term", [
+    (["wps", "--poly", "vars X:1 Y:1\n2^9999999999*X + Y"], "2^9999999999*X"),
+    (["germ", "--poly", "vars x:1 y:1\nx + a^99999999*y", "--param", "a=3", "--at", "0,0"],
+     "a^99999999*y"),
+    (["wps", "--poly", "vars X:1 Y:1\nX^2 + 2^100000*Y^2"], "2^100000*Y^2"),
+], ids=["huge-power", "huge-param-power", "over-str-limit"])
+def test_coefficient_over_the_cap_exits_2_fast(capsys, argv, term):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (f"error: bad polynomial: the coefficient of "
+                                       f"{term!r} passes 4096 bits\n")
 
 
 def test_wps_minus_after_negative_term(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo.fpgroups import (
+    MAX_PRESENTATION_GENERATORS,
     MAX_PRESENTATION_LETTERS,
     CosetBoundExceeded,
     Presentation,
@@ -69,6 +70,14 @@ def test_parse_caps_letters_before_expanding():
         parse_presentation("gens=2; rel=(1 2)^30000; rel=2^-40001")
     with pytest.raises(ValueError, match="letters"):
         parse_presentation("gens=1; rel=1^" + "9" * 4000)
+
+
+def test_parse_caps_generators():
+    assert MAX_PRESENTATION_GENERATORS == 100
+    assert parse_presentation("gens=100; rel=100^2").ngens == 100
+    for n in (101, 3_000_000, 100_000_000):
+        with pytest.raises(ValueError, match="more than 100 generators"):
+            parse_presentation(f"gens={n}; rel=1^2")
 
 
 def test_symmetric_group_s3():

@@ -21,12 +21,12 @@ from delpezzo.plane_action import (
     Unsupported,
     _abelianization_order,
     _closure,
-    _cross_point,
     _generators,
     _orbits,
     builtin_actions,
     classify_stabilizer,
     close_group,
+    eigen_data,
     fixed_locus,
     parse_action,
     parse_exponent,
@@ -485,18 +485,18 @@ def test_unsupported_action_raises():
 
 def _candidates_and_lines(group):
     """The candidate points and pointwise-fixed lines of quotient_profile,
-    recomputed here: isolated fixed points, meets of pairs of lines."""
+    recomputed here: the isolated fixed points and the fixed lines."""
     loci = [fixed_locus(g) for g in group.non_identity()]
     lines = list(dict.fromkeys(loc.line for loc in loci if loc.line is not None))
-    points = {p for loc in loci for p in loc.points}
-    points.update(l1.meet(l2) for l1, l2 in itertools.combinations(lines, 2))
-    return points, lines
+    return {p for loc in loci for p in loc.points}, lines
 
 
-def test_orbit_pass_against_brute_force():
+def _seeded_groups():
+    """300 seeded monomial groups of orders 2 to 16, scalars in mu_2, mu_3
+    or mu_4."""
     rng = random.Random(1103)
     perms = list(itertools.permutations(range(3)))
-    groups = answered = 0
+    groups = 0
     while groups < 300:
         m = rng.choice((2, 3, 4))
         gens = [MonomialMatrix(rng.choice(perms), tuple(Fraction(rng.randrange(m), m)
@@ -509,6 +509,12 @@ def test_orbit_pass_against_brute_force():
         if group.order == 1:
             continue
         groups += 1
+        yield group
+
+
+def test_orbit_pass_against_brute_force():
+    answered = 0
+    for group in _seeded_groups():
         points, lines = _candidates_and_lines(group)
         brute = {}           # orbit minimum -> (orbit size, stabilizer order)
         for first, orbit, stab in _orbits(group, sorted(points, key=ProjectivePoint.key),
@@ -569,15 +575,6 @@ def test_k2_mismatch_is_an_internal_error(monkeypatch):
         quotient_profile(close_group(builtin_actions()["z3"]))
 
 
-def test_line_meet():
-    assert Line(pt(1, 0, 0)).meet(Line(pt(0, 1, 0))) == pt(0, 0, 1)
-    # same two-element support: only one entry of the cross product survives
-    assert Line(pt(1, 1, 0)).meet(Line(pt(1, -1, 0))) == pt(0, 0, 1)
-    assert Line(pt(0, 1, "1/3")).meet(Line(pt("1/4", 0, 0))) == pt(0, 1, "1/6")
-    with pytest.raises(ActionError):
-        Line(pt(1, 1, 0)).meet(Line(pt("1/3", "1/3", 0)))      # the same line
-
-
 def test_point_normalisation():
     assert pt(1, 0, 0).exps == (Fraction(0), None, None)
     assert pt("1/3", "5/6", 0) == pt(1, -1, 0)
@@ -593,15 +590,6 @@ def test_point_normalisation():
         ProjectivePoint((None, None, None))
     with pytest.raises(ActionError):
         ProjectivePoint((Fraction(0), None))
-
-
-def test_cross_point_needs_a_zero_coordinate():
-    full = pt(1, "1/3", "2/3")
-    for p, q in [(full, pt(1, 0, 0)), (pt(0, 1, -1), full), (full, pt(1, 1, 1))]:
-        with pytest.raises(ActionError):
-            _cross_point(p, q)
-    with pytest.raises(ActionError):
-        Line(full).meet(Line(pt(0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +673,7 @@ def test_exponent_points_match_cyclotomic_reference():
         for p in rng.sample(points, 2):
             assert _same_point(_ref(p.transformed(g)), apply(g, _ref(p)))
 
-    for l1, l2 in itertools.combinations(lines, 2):
-        q = l1.meet(l2)
-        assert _same_point(_ref(q), cross(_ref(l1.normal), _ref(l2.normal)))
-        assert l1.contains(q) and l2.contains(q)
+    assert _fixed_line_claims(elements)[1] >= 80
 
     # contains: sums of up to two terms from the monomial loci, and of
     # three terms against normals made to vanish on a full-support point
@@ -714,3 +699,47 @@ def test_exponent_points_match_cyclotomic_reference():
             rest.remove(lam)
             got = sorted(tangent_eigenvalues(g, p))
             assert got == sorted((mu - lam) % 1 for mu in rest)
+
+
+def _fixed_line_claims(elements):
+    """Check the two claims fixed_locus and quotient_profile rest on
+    against the field reference's cross product: a fixed line's normal is
+    the cross of the two eigenvectors of the double eigenvalue, and the
+    distinct fixed lines of g1 and g2 meet at an isolated fixed point of
+    g1*g2, which both lines contain.  Returns the numbers of lines and of
+    meets checked."""
+    with_line = []
+    for g in elements:
+        if g.is_identity() or (line := fixed_locus(g).line) is None:
+            continue
+        pairs = eigen_data(g)
+        values = [lam for lam, _ in pairs]
+        u, v = [_ref(w) for lam, w in pairs if values.count(lam) == 2]
+        assert _same_point(_ref(line.normal), cross(u, v))
+        with_line.append((g, line))
+    meets = 0
+    for (g1, l1), (g2, l2) in itertools.combinations(with_line, 2):
+        if l1 == l2:
+            continue
+        meet = cross(_ref(l1.normal), _ref(l2.normal))
+        assert not all(c.is_zero() for c in meet)
+        q = [p for p in fixed_locus(g1 * g2).points if _same_point(_ref(p), meet)]
+        assert len(q) == 1 and l1.contains(q[0]) and l2.contains(q[0])
+        meets += 1
+    return len(with_line), meets
+
+
+def _gbar(m):
+    """G-bar(m,1,3): the coordinate permutations and diag(1, zeta^(1/m), 1),
+    of order 6*m^2 in PGL(3)."""
+    return close_group([mono((1, 0, 2), ("0", "0", "0")), mono((1, 2, 0), ("0", "0", "0")),
+                        mono((0, 1, 2), ("0", f"1/{m}", "0"))])
+
+
+def test_fixed_lines_against_the_cross_product():
+    lines = meets = 0
+    for group in itertools.chain(_seeded_groups(), map(_gbar, range(1, 5))):
+        got = _fixed_line_claims(group.elements)
+        lines, meets = lines + got[0], meets + got[1]
+    assert [_gbar(m).order for m in range(1, 5)] == [6, 24, 54, 96]
+    assert lines >= 500 and meets >= 650, (lines, meets)

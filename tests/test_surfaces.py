@@ -61,6 +61,22 @@ class TestParsePoly:
         with pytest.raises(ValueError, match="duplicate"):
             parse("vars X:1 X:2\nX")
 
+    def test_coefficient_bits_are_capped(self):
+        assert S.MAX_COEFFICIENT_BITS == 4096
+        # a numerator or denominator of 4096 bits passes, 4097 do not
+        assert parse("vars X:1\n2^4095*X").terms == {(1,): 2 ** 4095}
+        assert parse("vars X:1\n1/2^4095*X").terms == {(1,): Fraction(1, 2 ** 4095)}
+        assert parse("vars X:1\n2^2048*2^2047*X").terms == {(1,): 2 ** 4095}
+        for text in ("2^4096*X", "1/2^4096*X", "2^2048*2^2048*X", "3^99999999*X"):
+            with pytest.raises(ValueError, match=r"passes 4096 bits"):
+                parse("vars X:1\n" + text)
+        with pytest.raises(ValueError, match=r"of 'a\^2\*X' passes 4096 bits"):
+            parse("vars X:1\na^2*X", a=str(2 ** 2100))
+        # bases 0 and +-1 never grow, whatever the power
+        f = parse("vars X:1 Y:1\n1^9999999999*X + a^9999999999*Y + 0^9999999999*X*Y",
+                  a="-1")
+        assert f.terms == {(1, 0): 1, (0, 1): -1}
+
 
 def test_poly_text_round_trip():
     # names, weights and terms -> "vars" header + poly_str -> parse_poly
