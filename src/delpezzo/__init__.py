@@ -1,10 +1,10 @@
 """Exact-arithmetic classification of Gorenstein quotients of the plane.
 
 Modules:
-  cyclotomic    exact arithmetic in Q(zeta_m) and roots of unity
+  cyclotomic    exact arithmetic in Q(zeta_m): the surfaces solver's field
   lattice       ADE Dynkin types, dual-graph recognition, blow-down calculus
-  fpgroups      coset enumeration, Smith normal form, abelianization
-  plane_action  monomial group actions on P^2 and quotient profiles
+  fpgroups      coset enumeration, Smith normal form, transform-free abelianization
+  plane_action  monomial actions on P^2 in exponents, quotient profiles
   surfaces      weighted hypersurfaces, germ and fibre bookkeeping
   classifier    cover filters, quotient enumeration, the final report
   cli           JSON command-line front end

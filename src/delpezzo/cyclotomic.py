@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m).
+"""Exact arithmetic in cyclotomic fields Q(zeta_m): the surfaces solver's field.
 
 Elements are dense vectors of rationals in the power basis
 1, z, ..., z^(phi(m)-1) of Q(zeta_m), reduced modulo the m-th
@@ -118,20 +118,6 @@ def _reduce_mod_phi(coeffs, m):
     return tuple(c)
 
 
-@lru_cache(maxsize=1024)
-def root_coordinates(e: Fraction) -> tuple:
-    """(conductor, coefficients) of zeta^e, e in [0, 1), in the smallest
-    cyclotomic field that contains it: the form
-    ``CyclotomicNumber.reduce_conductor`` gives, computed without building
-    a CyclotomicNumber, so CONDUCTOR_CAP does not apply.  The coefficients
-    are ints: Phi_m is monic, so reducing a power of zeta stays integral."""
-    m, k, sign = e.denominator, e.numerator, 1
-    if m % 4 == 2:
-        # Q(zeta_m) = Q(zeta_{m/2}) and zeta_m^k = -zeta_{m/2}^((k + m/2)/2)
-        m, k, sign = m // 2, (k + m // 2) // 2, -1
-    return (m, tuple(int(c) for c in _reduce_mod_phi([0] * k + [sign], m)))
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -216,9 +202,6 @@ class CyclotomicNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -265,15 +248,6 @@ class CyclotomicNumber:
         inv_lead = 1 / r0[0]
         return CyclotomicNumber(self.conductor, [c * inv_lead for c in s0])
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -282,26 +256,19 @@ class CyclotomicNumber:
     def __bool__(self):
         return not self.is_zero()
 
-    def is_one(self) -> bool:
-        return (self - 1).is_zero()
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
     def as_rational(self):
         if not self.is_rational():
             return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0]
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return (self - other).is_zero()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # equality crosses conductors; dedupe by scanning
 

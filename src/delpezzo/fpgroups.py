@@ -287,10 +287,19 @@ def smith_normal_form(matrix):
     cols = len(matrix[0]) if rows else 0
     m = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(matrix)]
     m += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    _diagonalize(m, rows, cols)
+    return ([row[cols:] for row in m[:rows]], [row[:cols] for row in m[:rows]],
+            [row[:cols] for row in m[rows:]])
 
+
+def _diagonalize(m, rows, cols):
+    """Bring the top-left rows x cols block of m, in place, to Smith normal
+    form.  Pivots are taken in that block; a row operation spans the whole
+    row and a column operation spans every row of m, so whatever m holds
+    beside or below the block is carried along."""
     def row_op(a, b, k):      # row a += k * row b
         row, other = m[a], m[b]
-        for j in range(cols + rows):
+        for j in range(len(row)):
             row[j] += k * other[j]
 
     def col_op(a, b, k):      # col a += k * col b
@@ -331,22 +340,19 @@ def smith_normal_form(matrix):
             row_op(t, offender, 1)
             continue
         t += 1
-    return ([row[cols:] for row in m[:rows]], [row[:cols] for row in m[:rows]],
-            [row[:cols] for row in m[rows:]])
 
 
 def abelianization(p: Presentation):
     """Invariant factors of G^ab: (torsion_factors, free_rank).
 
-    Works on the relator exponent-sum matrix; no coset table needed.
+    Works on the relator exponent-sum matrix alone, diagonalized in place
+    with no transforms carried; no coset table needed.
     """
     matrix = [[sum(1 if g == k else -1 if g == -k else 0 for g in rel)
                for k in range(1, p.ngens + 1)]
               for rel in p.relators]
-    if not matrix:
-        return [], p.ngens
-    _, d, _ = smith_normal_form(matrix)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    _diagonalize(matrix, len(matrix), p.ngens)
+    diag = [matrix[i][i] for i in range(min(len(matrix), p.ngens))]
     rank = sum(1 for x in diag if x != 0)
     torsion = [x for x in diag if x > 1]
     return torsion, p.ngens - rank

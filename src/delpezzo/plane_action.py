@@ -9,10 +9,10 @@ roots of unity, and every fixed point and pointwise-fixed line of a
 monomial element has coordinates in {0} and the roots of unity.  A root
 of unity zeta^e = exp(2*pi*i*e) is stored everywhere as its exponent e,
 a Fraction in [0, 1), so matrix scalars, eigenvalues and points are
-multiplied, compared and hashed without field arithmetic.  Stabilizers
-are classified through lattice's cyclic germs or the binary polyhedral
-dictionary, and the quotient's K^2 and singularity configuration are
-assembled with integer arithmetic throughout.
+multiplied, compared, sorted and hashed without field arithmetic.
+Stabilizers are classified through lattice's cyclic germs or the binary
+polyhedral dictionary, and the quotient's K^2 and singularity
+configuration are assembled with integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import root_coordinates
 from .lattice import (DynkinType, cartan_determinant, config_sorted, cyclic_germ,
                       local_noether_terms, types_with_order)
 
@@ -192,12 +191,6 @@ HALF = Fraction(1, 2)
 THIRDS = {Fraction(1, 3), Fraction(2, 3)}
 
 
-def _root_key(e):
-    """(conductor, coefficients) of zeta^e, or of 0 when e is None, in the
-    smallest cyclotomic field that contains it."""
-    return (1, (0,)) if e is None else root_coordinates(e)
-
-
 def _root_str(e) -> str:
     if e is None:
         return "0"
@@ -226,9 +219,8 @@ class ProjectivePoint:
         self.exps = tuple(None if e is None else (e - lead) % 1 for e in exps)
 
     def key(self):
-        """Total order on points: minimal-field coordinates, compared as
-        (conductor, coefficients)."""
-        return tuple(_root_key(e) for e in self.exps)
+        """Total order on points: exponent order, a zero coordinate first."""
+        return tuple(-1 if e is None else e for e in self.exps)
 
     def __eq__(self, other):
         return isinstance(other, ProjectivePoint) and self.exps == other.exps

@@ -229,12 +229,6 @@ def is_quasi_homogeneous(f: WeightedPoly):
     return True, deg
 
 
-def za_surface(a) -> WeightedPoly:
-    """The degree-6 hypersurface W^2 + Z^3 + X^5*Y + a*X^4*Z in P(1,1,2,3)."""
-    return parse_poly("vars X:1 Y:1 Z:2 W:3\nW^2 + Z^3 + X^5*Y + a*X^4*Z",
-                      {"a": Fraction(a)})
-
-
 # ---------------------------------------------------------------------------
 # exact solving: univariate roots, resultants, stratified systems
 # ---------------------------------------------------------------------------
@@ -576,11 +570,6 @@ def kodaira_euler(t: str) -> int:
     if m.group(4):
         return {2: 10, 3: 9, 4: 8}[base]
     return base
-
-
-def kodaira_reducible(t: str) -> bool:
-    kodaira_euler(t)  # validates
-    return t not in ("I0", "I1", "II")
 
 
 MAX_TOTAL_EULER = 1200

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo.cli import main
+from fixtures import ii_star_fiber, remove
 
 GOLDEN = json.loads(Path(__file__).with_name("quotient_golden.json").read_text())
 SURFACES_GOLDEN = json.loads(Path(__file__).with_name("surfaces_golden.json").read_text())
@@ -201,10 +202,8 @@ def test_mumford_out_of_range(capsys):
 
 
 def test_recognize_and_blowdown(capsys):
-    from delpezzo.lattice import ii_star_fiber
-
     fib = ii_star_fiber()
-    cfg = json.dumps(fib.remove(fib.index_of("C1")).to_json())
+    cfg = json.dumps(remove(fib, fib.index_of("C1")).to_json())
     code, out = run(capsys, "recognize", "--config", cfg)
     assert code == 0 and out["type"] == "E8"
 

@@ -310,6 +310,28 @@ def test_abelianization_free_rank():
     assert free_rank == 2
 
 
+def test_abelianization_matches_the_smith_normal_form():
+    # abelianization diagonalizes the relator matrix alone; its invariant
+    # factors are those of the full (U, D, V) computation
+    rng = random.Random(1301)
+    for _ in range(500):
+        ngens = rng.randint(1, 4)
+        relators = [[rng.choice([1, -1]) * rng.randint(1, ngens)
+                     for _ in range(rng.randint(1, 8))] for _ in range(rng.randint(1, 5))]
+        matrix = [[rel.count(k) - rel.count(-k) for k in range(1, ngens + 1)]
+                  for rel in relators]
+        _, d, _ = smith_normal_form(matrix)
+        diag = [d[i][i] for i in range(min(len(d), ngens))]
+        expected = ([x for x in diag if x > 1], ngens - sum(1 for x in diag if x))
+        assert abelianization(Presentation(ngens, relators)) == expected, relators
+
+
+def test_abelianization_of_many_relators():
+    # no rows x rows transform is built: 20,000 relators of one generator
+    # are one pass down a single column
+    assert abelianization(Presentation(1, [[1, 1]] * 20000)) == ([2], 0)
+
+
 def test_hom_count_cyclic():
     # Z/6 has gcd(6, d) homomorphisms to Z/d
     p = parse_presentation("gens=1; rel=1^6")

