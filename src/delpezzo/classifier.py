@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .lattice import (DynkinType, all_types, config_rank, config_sorted,
@@ -102,8 +102,18 @@ class FilterVerdict:
     reason: str = ""
     detail: str = ""
 
-    def __str__(self):
-        return "Ok" if self.ok else f"Contradiction({self.reason}: {self.detail})"
+
+def _smooth_preimages(T: int, orders, n: int):
+    """The local covering equation over a bottom point of local order T.
+
+    Preimages of local orders m | T cover it with local degrees T/m, a
+    smooth preimage with degree T, and the degrees sum to n: the number k
+    of smooth preimages with sum(T/m) + k*T = n, or None when no k >= 0
+    solves it."""
+    if any(T % m for m in orders):
+        return None
+    k, rest = divmod(n - sum(T // m for m in orders), T)
+    return k if k >= 0 and rest == 0 else None
 
 
 def cover_filter(h: CoverHypothesis) -> FilterVerdict:
@@ -119,32 +129,21 @@ def cover_filter(h: CoverHypothesis) -> FilterVerdict:
     if rank != 9 - d_bot:
         return FilterVerdict(False, RANK_MISMATCH,
                              f"rank {rank} != 9 - {d_bot}")
-    # F3: local orders over each bottom point
+    # F3: one preimage multiset per bottom point, using every top singular
+    # point once, and the local covering equation over each point
     config = config_sorted(h.bottom_config)
-    if len(h.assignment) != len(config):
-        return FilterVerdict(False, LOCAL_ORDER_UNREALIZABLE,
-                             "one preimage multiset required per bottom point")
-    used = []
-    total_parts = 0
-    for t, parts in zip(config, h.assignment):
-        T = local_pi1_order(t)
-        total = 0
-        for m in parts:
-            if T % m != 0:
-                return FilterVerdict(False, LOCAL_ORDER_UNREALIZABLE,
-                                     f"local order {m} does not divide {T} at {t}")
-            total += T // m
-            if m > 1:
-                used.append(m)
-        if total != n:
-            return FilterVerdict(False, LOCAL_ORDER_UNREALIZABLE,
-                                 f"covering degrees over {t} sum to {total}, not {n}")
-        total_parts += len(parts)
+    used = sorted(m for parts in h.assignment for m in parts if m > 1)
     top_orders = sorted(local_pi1_order(t) for t in h.top.config)
-    if sorted(used) != top_orders:
+    if len(h.assignment) != len(config) or used != top_orders:
         return FilterVerdict(False, LOCAL_ORDER_UNREALIZABLE,
-                             f"top local orders {top_orders} not matched by {sorted(used)}")
+                             f"preimages {list(h.assignment)} do not use {top_orders} once")
+    for t, parts in zip(config, h.assignment):
+        k = _smooth_preimages(local_pi1_order(t), [m for m in parts if m > 1], n)
+        if k != parts.count(1):
+            return FilterVerdict(False, LOCAL_ORDER_UNREALIZABLE,
+                                 f"local degrees of {list(parts)} over {t} do not sum to {n}")
     # F4: Euler multiplicativity over the smooth locus
+    total_parts = sum(map(len, h.assignment))
     lhs = h.top.chi - total_parts
     rhs = n * (3 - len(config))
     if lhs != rhs:
@@ -176,25 +175,19 @@ def configs_of_rank(rank: int):
                 go(remaining - t.rank, i, acc + [t])
 
     go(rank, 0, [])
-    return sorted((config_sorted(c) for c in results),
-                  key=lambda c: (len(c), [(t.letter, t.rank) for t in c]))
+    return sorted(results, key=lambda c: (len(c), [(t.letter, t.rank) for t in c]))
 
 
 def _point_options(t: DynkinType, n: int, top_orders):
-    """Possible preimage multisets over one bottom point of type t.
-
-    Each option is a sorted tuple of local orders m_j with the covering
-    degrees T/m_j summing to n: a sub-multiset of the top orders m > 1
-    dividing T, padded with smooth preimages (m = 1, degree T)."""
+    """Possible preimage multisets over one bottom point of type t: a
+    sub-multiset of the top orders m > 1, padded with the smooth preimages
+    (m = 1) that the local covering equation asks for."""
     T = local_pi1_order(t)
-    usable = sorted(m for m in top_orders if m > 1 and T % m == 0)
-    options = set()
-    for k in range(len(usable) + 1):
-        for combo in itertools.combinations(usable, k):
-            left = n - sum(T // m for m in combo)
-            if left >= 0 and left % T == 0:
-                options.add((1,) * (left // T) + combo)
-    return sorted(options)
+    usable = sorted(m for m in top_orders if m > 1)
+    return sorted({(1,) * k + combo
+                   for r in range(len(usable) + 1)
+                   for combo in itertools.combinations(usable, r)
+                   if (k := _smooth_preimages(T, combo, n)) is not None})
 
 
 def _assignments(bottom_config, n, top_orders):
@@ -222,14 +215,10 @@ SURVIVOR_ACTIONS = {
 
 def top_profile(name: str) -> SurfaceProfile:
     table = {row.name: row for row in lemma1_table()}
-    alias = {"P2": "P2", "Q": "A1", "A1": "A1", "A1+A2": "A1+A2", "V3": "A1+A2"}
-    key = alias.get(name, name)
+    key = {"Q": "A1", "V3": "A1+A2"}.get(name, name)
     if key not in table:
         raise ValueError(f"unknown top surface {name!r}")
-    row = table[key]
-    display = "Q" if key == "A1" else ("P2" if key == "P2" else row.name)
-    return SurfaceProfile(display, row.d, row.config, row.chi,
-                          row.smooth_locus_simply_connected, row.surfaces)
+    return replace(table[key], name="Q") if key == "A1" else table[key]
 
 
 def enumerate_quotients(top_name: str) -> dict:
@@ -246,24 +235,19 @@ def enumerate_quotients(top_name: str) -> dict:
     for n in admissible_degrees(top):
         d_bot = top.d // n
         for config in configs_of_rank(9 - d_bot):
-            assignments = _assignments(config, n, top_orders)
-            verdict = None
-            for assignment in assignments:
-                h = CoverHypothesis(top, n, config, assignment)
-                verdict = cover_filter(h)
+            verdict = FilterVerdict(
+                False, LOCAL_ORDER_UNREALIZABLE,
+                "no preimage assignment matches the top's local orders")
+            for assignment in _assignments(config, n, top_orders):
+                verdict = cover_filter(CoverHypothesis(top, n, config, assignment))
                 if verdict.ok:
                     break
-            if verdict is not None and verdict.ok:
+            if verdict.ok:
                 survivors.append({"degree": n, "config": config_str(config),
                                   "d_bottom": d_bot})
                 continue
-            if not assignments:
-                reason, detail = LOCAL_ORDER_UNREALIZABLE, \
-                    "no preimage assignment matches the top's local orders"
-            else:
-                reason, detail = verdict.reason, verdict.detail
-            entry = {"degree": n, "config": config_str(config), "reason": reason,
-                     "detail": detail}
+            entry = {"degree": n, "config": config_str(config),
+                     "reason": verdict.reason, "detail": verdict.detail}
             tag = PAPER_CASE_TAGS.get((top.name, n, config_str(config)))
             if tag:
                 entry["paper_case"] = tag
@@ -283,19 +267,12 @@ def enumerate_quotients(top_name: str) -> dict:
 
 def forced_point_orders(orders, n: int):
     """Possible bottom local orders T at a point whose preimage contains
-    top points of the given local orders (plus k smooth points).
-
-    Each top point of order m covers with local degree T/m, each smooth
-    point with degree T, and the degrees must sum to n."""
+    top points of the given local orders (plus smooth points): the
+    multiples of their lcm that solve the local covering equation.  Each
+    top point covers with degree at least T/max(orders), so T < (n+1)*max."""
     lcm = math.lcm(*orders)
-    out = []
-    T = lcm
-    while T // max(orders) <= n:
-        fixed = sum(T // m for m in orders)
-        if fixed <= n and (n - fixed) % T == 0:
-            out.append(T)
-        T += lcm
-    return out
+    return [T for T in range(lcm, (n + 1) * max(orders), lcm)
+            if _smooth_preimages(T, orders, n) is not None]
 
 
 def min_rank_for_order(T: int) -> int:
@@ -328,44 +305,34 @@ def forced_exclusions(top: SurfaceProfile):
     for n in admissible_degrees(top):
         d_bot = top.d // n
         budget = 9 - d_bot
-        best_total = None
-        witness = None
+        feasible = []
         for grouping in _set_partitions(points):
-            total = 0
-            forced = []
-            for group in grouping:
-                orders = forced_point_orders(group, n)
-                if not orders:
-                    total = None
-                    break
-                cheapest = min(orders, key=min_rank_for_order)
-                total += min_rank_for_order(cheapest)
-                forced.append((group, orders, cheapest))
-            if total is None:
-                continue
-            if best_total is None or total < best_total:
-                best_total = total
-                witness = forced
-        if best_total is not None and best_total > budget:
-            detail_parts = []
-            for group, orders, cheapest in witness:
-                detail_parts.append(
-                    f"points of orders {group} force bottom local order in {orders} "
-                    f"(cheapest rank {min_rank_for_order(cheapest)} at order {cheapest})")
-            out.append({
-                "degree": n, "d_bottom": d_bot,
-                "forced_rank": best_total,
-                "reason": RANK_MISMATCH,
-                "detail": "; ".join(detail_parts)
-                          + f"; total forced rank {best_total} > budget {budget}",
-            })
-        elif best_total is None:
+            forced = [(group, forced_point_orders(group, n)) for group in grouping]
+            if all(orders for _, orders in forced):
+                witness = [(group, orders, min(orders, key=min_rank_for_order))
+                           for group, orders in forced]
+                feasible.append((sum(min_rank_for_order(c) for *_, c in witness),
+                                 witness))
+        if not feasible:
             out.append({
                 "degree": n, "d_bottom": d_bot,
                 "forced_rank": None,
                 "reason": LOCAL_ORDER_UNREALIZABLE,
                 "detail": "no bottom local order is compatible with the top's "
                           "singular points at this degree",
+            })
+            continue
+        best_total, witness = min(feasible, key=lambda f: f[0])
+        if best_total > budget:
+            out.append({
+                "degree": n, "d_bottom": d_bot,
+                "forced_rank": best_total,
+                "reason": RANK_MISMATCH,
+                "detail": "; ".join(
+                    f"points of orders {group} force bottom local order in {orders} "
+                    f"(cheapest rank {min_rank_for_order(cheapest)} at order {cheapest})"
+                    for group, orders, cheapest in witness)
+                          + f"; total forced rank {best_total} > budget {budget}",
             })
     return out
 
@@ -464,7 +431,7 @@ def theorem1_report() -> dict:
         "cover_analysis": {
             "P2": p2,
             "Q": q,
-            "V3": {"top": "A1+A2", "top_d": 6,
+            "V3": {"top": v3_top.name, "top_d": v3_top.d,
                    "degrees": admissible_degrees(v3_top),
                    "survivors": [], "exclusions": v3_cases},
             "other_tops": other_tops,

@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import (CyclotomicNumber, _poly_divmod, _poly_gcd, _poly_trim,
-                         cyclotomic_polynomial)
+from .cyclotomic import (ConductorCapExceeded, CyclotomicNumber, _poly_divmod, _poly_gcd,
+                         _poly_trim, cyclotomic_polynomial)
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials: dict {exponent tuple: coefficient}
@@ -192,6 +192,9 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
         expo = [0] * nvars
         for factor in tok.split("*"):
             base, caret, power = factor.partition("^")
+            if not base:
+                raise ValueError(f"missing base before ^ in the term {tok!r}"
+                                 if tok.startswith("^") else f"stray '*' in the term {tok!r}")
             if caret and not power:
                 raise ValueError(f"missing exponent after {base}^")
             power = int(power) if caret else 1
@@ -491,16 +494,36 @@ def cone_singular_points(f: WeightedPoly):
         sols, left = solve_system([poly_specialize(eq, values) for eq in system],
                                   len(free))
         leftovers.extend(left)
+        found = []
         for sol in sols:
             point = [Fraction(0)] * n
             point[pivot] = Fraction(1)
             for i, v in zip(free, sol):
                 point[i] = v
-            if tuple(point) not in points:
-                points.append(tuple(point))
+            point = tuple(point)
+            if not found or not _is_scaled_copy(point, found, f.weights, f.weights[pivot]):
+                found.append(point)
+        points += found
     if leftovers:
         return Indeterminate(sorted(set(leftovers)))
     return points
+
+
+def _is_scaled_copy(point, found, weights, w):
+    """Whether point is x_i -> zeta_w^(k*w_i) * x_i of a found point for
+    some k < w: the scalings that keep a pivot of weight w at 1.  An image
+    past the conductor cap counts as a different point."""
+    for k in range(w):
+        exps = [Fraction(k * wi, w) for wi in weights]
+        try:
+            image = tuple(c if e.denominator == 1
+                          else c * CyclotomicNumber.zeta(e.denominator, e.numerator)
+                          for c, e in zip(point, exps))
+            if image in found:
+                return True
+        except ConductorCapExceeded:
+            pass
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -97,6 +98,67 @@ def test_assignments_match_brute_force():
                         (cfg, n, tops)
 
 
+def test_smooth_preimages_match_brute_force():
+    # the local covering equation against every multiset of divisors whose
+    # degrees T/m sum to n, and every pair of orders m > 1, divisors or not
+    for T in range(1, 31):
+        for n in range(1, 10):
+            brute = set(_preimage_multisets(T, n))
+            for ms in brute:
+                assert C._smooth_preimages(T, [m for m in ms if m > 1], n) == ms.count(1)
+            for r in range(3):
+                for orders in itertools.combinations_with_replacement(range(2, T + 1), r):
+                    k = C._smooth_preimages(T, orders, n)
+                    if k is None:
+                        assert not any(ms[ms.count(1):] == orders for ms in brute)
+                    else:
+                        assert (1,) * k + orders in brute, (T, n, orders)
+
+
+def _f3_passed(verdict):
+    # F1 and F2 hold by construction below, and F4 is the only filter after F3
+    return verdict.ok or verdict.reason == C.EULER_MISMATCH
+
+
+def test_f3_accepts_exactly_the_built_assignments():
+    rng = random.Random(17)
+    tops = [C.top_profile(name) for name in ("P2", "Q", "V3", "A4", "D5", "E6", "E7")]
+    for _ in range(3000):
+        top = rng.choice(tops)
+        n = rng.choice(C.admissible_degrees(top))
+        config = rng.choice(C.configs_of_rank(9 - top.d // n))
+        top_orders = sorted(local_pi1_order(t) for t in top.config)
+        built = set(C._assignments(config, n, top_orders))
+        assignment = []
+        for t in config:
+            T = local_pi1_order(t)
+            options = C._point_options(t, n, top_orders) or _preimage_multisets(T, n) or [(1,)]
+            parts = list(rng.choice(options))
+            if rng.random() < 0.2:
+                parts[rng.randrange(len(parts))] = rng.choice([1, 2, 3, 4, 5, 6, T])
+            if rng.random() < 0.1:
+                parts.append(rng.choice([1, 2, 3, T]))
+            assignment.append(tuple(sorted(parts)))
+        assignment = tuple(assignment)
+        verdict = C.cover_filter(C.CoverHypothesis(top, n, config, assignment))
+        assert verdict.reason != C.K2_NOT_INTEGER and verdict.reason != C.RANK_MISMATCH
+        assert _f3_passed(verdict) == (assignment in built), (top.name, n, config, assignment)
+
+
+def test_enumeration_builds_only_hypotheses_that_pass_f1_to_f3(monkeypatch):
+    verdicts = []
+    cover_filter = C.cover_filter
+
+    def recording(h):
+        verdicts.append(cover_filter(h))
+        return verdicts[-1]
+
+    monkeypatch.setattr(C, "cover_filter", recording)
+    for row in C.lemma1_table():
+        C.enumerate_quotients(row.name)
+    assert verdicts and all(map(_f3_passed, verdicts))
+
+
 def test_enumerate_p2():
     out = C.enumerate_quotients("P2")
     survivors = {(s["degree"], s["config"]) for s in out["survivors"]}
@@ -149,6 +211,14 @@ def test_forced_point_orders():
     options = C.forced_point_orders([6], 2)
     assert options and all(t % 6 == 0 for t in options)
     assert 12 in options
+    # every T < 200 that the local covering equation admits, by brute force
+    for orders in ([2], [3], [6], [2, 3], [2, 2], [2, 4], [3, 3, 6]):
+        for n in range(1, 10):
+            expected = [T for T in range(1, 200)
+                        if all(T % m == 0 for m in orders)
+                        and sum(T // m for m in orders) <= n
+                        and (n - sum(T // m for m in orders)) % T == 0]
+            assert C.forced_point_orders(orders, n) == expected, (orders, n)
 
 
 def test_ramification_constraints():

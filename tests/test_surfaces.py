@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -57,6 +59,14 @@ class TestParsePoly:
     def test_trailing_operator_rejected(self):
         with pytest.raises(ValueError, match="missing term"):
             parse("vars X:1 Y:1\nX + Y -")
+
+    def test_stray_star_is_named_with_its_term(self):
+        for text, term in [("X +* Y", "*"), ("X*", "X*"), ("*X", "*X"), ("X^2*", "X^2*"),
+                           ("X + Y*^2", "Y*^2"), ("2*X*", "2*X*")]:
+            with pytest.raises(ValueError, match=re.escape(f"stray '*' in the term {term!r}")):
+                parse("vars X:1 Y:1\n" + text)
+        with pytest.raises(ValueError, match=re.escape("missing base before ^ in the term '^2*Y'")):
+            parse("vars X:1 Y:1\nX + ^2*Y")
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -367,6 +377,44 @@ class TestSingularPoints:
         pts = S.cone_singular_points(f)
         keys = {tuple(str(c) for c in p) for p in pts}
         assert keys == {("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")}
+
+    def test_point_count_does_not_depend_on_variable_order(self):
+        rng = random.Random(1)
+        for _ in range(20):
+            weights = rng.choice([(1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 2)])
+            f = _form_singular_where_two_forms_vanish(rng, weights)
+            counts = set()
+            for order in itertools.permutations(range(3)):
+                g = S.WeightedPoly(tuple("XYZ"[i] for i in order),
+                                   tuple(weights[i] for i in order),
+                                   {tuple(e[i] for i in order): c for e, c in f.items()})
+                try:
+                    pts = S.cone_singular_points(g)
+                except ValueError:          # the conductor cap: exit 1
+                    continue
+                if not isinstance(pts, S.Indeterminate):
+                    counts.add(len(pts))
+            assert len(counts) <= 1, (weights, f, counts)
+
+
+def _random_form(rng, weights, d, size):
+    monomials = [e for e in itertools.product(*(range(d // w + 1) for w in weights))
+                 if sum(w * x for w, x in zip(weights, e)) == d]
+    return {e: Fraction(rng.choice([-2, -1, 1, 2, 3]))
+            for e in rng.sample(monomials, min(size, len(monomials)))}
+
+
+def _form_singular_where_two_forms_vanish(rng, weights):
+    """g^2 + c*h^2, or g^2 + h^4 with h of half the degree."""
+    d = max(weights)
+    g = _random_form(rng, weights, d, 2)
+    if rng.random() < 0.5:
+        h = _random_form(rng, weights, d, 2)
+        h2 = S.poly_scale(S.poly_mul(h, h), Fraction(rng.choice([1, -1, 2])))
+    else:
+        h = _random_form(rng, weights, d // 2, 1) if d % 2 == 0 else {}
+        h2 = S.poly_mul(S.poly_mul(h, h), S.poly_mul(h, h))
+    return S.poly_add(S.poly_mul(g, g), h2)
 
 
 class TestGerms:
