@@ -169,8 +169,7 @@ def configs_of_rank(rank: int):
         if remaining == 0:
             results.append(tuple(acc))
             return
-        for i in range(start, len(types)):
-            t = types[i]
+        for i, t in enumerate(types[start:], start):
             if t.rank <= remaining:
                 go(remaining - t.rank, i, acc + [t])
 
@@ -184,10 +183,13 @@ def _point_options(t: DynkinType, n: int, top_orders):
     (m = 1) that the local covering equation asks for."""
     T = local_pi1_order(t)
     usable = sorted(m for m in top_orders if m > 1)
-    return sorted({(1,) * k + combo
-                   for r in range(len(usable) + 1)
-                   for combo in itertools.combinations(usable, r)
-                   if (k := _smooth_preimages(T, combo, n)) is not None})
+    options = set()
+    for r in range(len(usable) + 1):
+        for combo in itertools.combinations(usable, r):
+            k = _smooth_preimages(T, combo, n)
+            if k is not None:
+                options.add((1,) * k + combo)
+    return sorted(options)
 
 
 def _assignments(bottom_config, n, top_orders):
@@ -242,20 +244,17 @@ def enumerate_quotients(top_name: str) -> dict:
                 verdict = cover_filter(CoverHypothesis(top, n, config, assignment))
                 if verdict.ok:
                     break
+            key = (top.name, n, config_str(config))
             if verdict.ok:
-                survivors.append({"degree": n, "config": config_str(config),
+                survivors.append({"degree": n, "config": key[2],
                                   "d_bottom": d_bot})
+                if key in SURVIVOR_ACTIONS:
+                    survivors[-1]["action"] = SURVIVOR_ACTIONS[key]
                 continue
-            entry = {"degree": n, "config": config_str(config),
-                     "reason": verdict.reason, "detail": verdict.detail}
-            tag = PAPER_CASE_TAGS.get((top.name, n, config_str(config)))
-            if tag:
-                entry["paper_case"] = tag
-            exclusions.append(entry)
-    for s in survivors:
-        action = SURVIVOR_ACTIONS.get((top.name, s["degree"], s["config"]))
-        if action:
-            s["action"] = action
+            exclusions.append({"degree": n, "config": key[2],
+                               "reason": verdict.reason, "detail": verdict.detail})
+            if key in PAPER_CASE_TAGS:
+                exclusions[-1]["paper_case"] = PAPER_CASE_TAGS[key]
     return {"top": top.name, "top_d": top.d,
             "degrees": admissible_degrees(top),
             "survivors": survivors, "exclusions": exclusions}
@@ -457,8 +456,7 @@ def cross_module_check() -> dict:
 
     survivors = {}
     for top in ("P2", "Q"):
-        res = enumerate_quotients(top)
-        for s in res["survivors"]:
+        for s in enumerate_quotients(top)["survivors"]:
             survivors[(s["d_bottom"], s["config"])] = (top, s["degree"])
     rows = {(row.d, config_str(row.config)): row.name for row in lemma1_table()}
 
@@ -466,15 +464,12 @@ def cross_module_check() -> dict:
     for name, gens in builtin_actions().items():
         prof = quotient_profile(close_group(gens))
         key = (prof.k2, config_str(prof.config))
+        via = ""
         if key in survivors:
-            top, degree = survivors[key]
-            results[name] = {"k2": prof.k2, "config": key[1], "matched": True,
-                             "via": f"survivor of top {top} at degree {degree}"}
+            via = "survivor of top {} at degree {}".format(*survivors[key])
         elif key in rows:
-            results[name] = {"k2": prof.k2, "config": key[1], "matched": True,
-                             "via": f"table row {rows[key]}"}
-        else:
-            results[name] = {"k2": prof.k2, "config": key[1], "matched": False,
-                             "via": ""}
+            via = f"table row {rows[key]}"
+        results[name] = {"k2": prof.k2, "config": key[1], "matched": bool(via),
+                         "via": via}
     return {"builtins": results,
             "pass": all(r["matched"] for r in results.values())}

@@ -193,8 +193,7 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
         for factor in tok.split("*"):
             base, caret, power = factor.partition("^")
             if not base:
-                raise ValueError(f"missing base before ^ in the term {tok!r}"
-                                 if tok.startswith("^") else f"stray '*' in the term {tok!r}")
+                raise ValueError(f"missing factor in the term {tok!r}")
             if caret and not power:
                 raise ValueError(f"missing exponent after {base}^")
             power = int(power) if caret else 1
@@ -494,27 +493,28 @@ def cone_singular_points(f: WeightedPoly):
         sols, left = solve_system([poly_specialize(eq, values) for eq in system],
                                   len(free))
         leftovers.extend(left)
-        found = []
         for sol in sols:
             point = [Fraction(0)] * n
             point[pivot] = Fraction(1)
             for i, v in zip(free, sol):
                 point[i] = v
             point = tuple(point)
-            if not found or not _is_scaled_copy(point, found, f.weights, f.weights[pivot]):
-                found.append(point)
-        points += found
+            if not _is_scaled_copy(point, points, f.weights):
+                points.append(point)
     if leftovers:
         return Indeterminate(sorted(set(leftovers)))
     return points
 
 
-def _is_scaled_copy(point, found, weights, w):
-    """Whether point is x_i -> zeta_w^(k*w_i) * x_i of a found point for
-    some k < w: the scalings that keep a pivot of weight w at 1.  An image
-    past the conductor cap counts as a different point."""
-    for k in range(w):
-        exps = [Fraction(k * wi, w) for wi in weights]
+def _is_scaled_copy(point, found, weights):
+    """Whether point is x_i -> zeta_w^(k*w_i) * x_i of a found point, where
+    w is the weight of its pivot (first nonzero coordinate): the scalings
+    that keep the pivot at 1.  They depend on k only mod w/g, g the gcd of
+    the weights of the nonzero coordinates.  An image past the conductor
+    cap counts as a different point."""
+    support = [wi for c, wi in zip(point, weights) if c]
+    for k in range(support[0] // math.gcd(*support)):
+        exps = [Fraction(k * wi, support[0]) for wi in weights]
         try:
             image = tuple(c if e.denominator == 1
                           else c * CyclotomicNumber.zeta(e.denominator, e.numerator)
