@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import (DynkinType, all_types, config_rank, config_sorted,
@@ -21,14 +21,13 @@ from .lattice import (DynkinType, all_types, config_rank, config_sorted,
 # surface profiles and the degree table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceProfile:
-    name: str
-    d: int                      # K^2
-    config: tuple               # singularity configuration (DynkinTypes)
-    chi: int = 3
-    smooth_locus_simply_connected: bool = True
-    surfaces: tuple = ()        # names of the surfaces realizing this row
+class SurfaceProfile(namedtuple(
+        "SurfaceProfile", "name d config chi smooth_locus_simply_connected surfaces",
+        defaults=(3, True, ()))):
+    """d is K^2, config the singularity configuration (DynkinTypes) and
+    surfaces the names of the surfaces realizing this row."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {"name": self.name, "d": self.d,
@@ -81,8 +80,7 @@ LOCAL_ORDER_UNREALIZABLE = "LocalOrderUnrealizable"
 EULER_MISMATCH = "EulerMismatch"
 
 
-@dataclass(frozen=True)
-class CoverHypothesis:
+class CoverHypothesis(namedtuple("CoverHypothesis", "top degree bottom_config assignment")):
     """An unramified-over-the-smooth-locus cover top -> bottom of degree n.
 
     assignment[i] is the multiset (sorted tuple) of local orders m_j of the
@@ -90,17 +88,12 @@ class CoverHypothesis:
     smooth preimage point of local covering degree T (= the bottom local
     order), m_j > 1 consumes a singular point of the top of that order.
     """
-    top: SurfaceProfile
-    degree: int
-    bottom_config: tuple
-    assignment: tuple
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    ok: bool
-    reason: str = ""
-    detail: str = ""
+class FilterVerdict(namedtuple("FilterVerdict", "ok reason detail", defaults=("", ""))):
+    __slots__ = ()
 
 
 def _smooth_preimages(T: int, orders, n: int):
@@ -220,7 +213,7 @@ def top_profile(name: str) -> SurfaceProfile:
     key = {"Q": "A1", "V3": "A1+A2"}.get(name, name)
     if key not in table:
         raise ValueError(f"unknown top surface {name!r}")
-    return replace(table[key], name="Q") if key == "A1" else table[key]
+    return table[key]._replace(name="Q") if key == "A1" else table[key]
 
 
 def enumerate_quotients(top_name: str) -> dict:

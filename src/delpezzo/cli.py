@@ -8,7 +8,9 @@ internal error: an unexpected exception, reported as the JSON body
 with its traceback on stderr.
 
 Each subcommand imports the library modules it uses, so a process pays
-only for the modules its subcommand needs.
+only for the modules its subcommand needs.  No library module imports
+dataclasses, typing or inspect, and `fractions` is imported where a
+rational is parsed, so `group` and `mumford` never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -129,7 +130,7 @@ def _load_presentation(args) -> fpgroups.Presentation:
     if text.startswith(("{", "[")):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:     # RecursionError: deep nesting
             raise SystemExit2(f"bad presentation JSON: {exc}") from None
         text = data.get("presentation", "") if isinstance(data, dict) else None
         if not isinstance(text, str):
@@ -181,7 +182,7 @@ def _load_curve_config(path: str) -> lattice.CurveConfig:
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         return lattice.CurveConfig.from_json(data)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, ValueError) as exc:
         raise SystemExit2(f"bad curve configuration: {exc}") from None
 
 
@@ -213,6 +214,8 @@ def cmd_blowdown(args) -> dict:
 
 
 def _parse_params(pairs):
+    from fractions import Fraction
+
     params = {}
     for pair in pairs or []:
         key, _, value = pair.partition("=")
@@ -259,6 +262,8 @@ def cmd_wps(args) -> dict:
 
 
 def cmd_germ(args) -> dict:
+    from fractions import Fraction
+
     from . import surfaces
 
     f = _load_poly(args)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_COSET_BOUND = 10_000
 MAX_PRESENTATION_LETTERS = 100_000      # relator letters, after expanding powers
@@ -29,20 +29,19 @@ class CosetBoundExceeded(RuntimeError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class Presentation:
-    ngens: int
-    relators: tuple  # tuples of signed 1-based generator indices
+class Presentation(namedtuple("Presentation", "ngens relators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ngens < 0:
-            raise ValueError(f"the number of generators must be >= 0, got {self.ngens}")
-        for rel in self.relators:
+    def __new__(cls, ngens: int, relators: tuple):  # tuples of signed 1-based generator indices
+        if ngens < 0:
+            raise ValueError(f"the number of generators must be >= 0, got {ngens}")
+        for rel in relators:
             if not rel:
                 raise ValueError("relators must be nonempty words")
             for g in rel:
-                if g == 0 or abs(g) > self.ngens:
+                if g == 0 or abs(g) > ngens:
                     raise ValueError(f"letter {g} out of range in relator {rel}")
+        return super().__new__(cls, ngens, relators)
 
     def __str__(self):
         return format_presentation(self)

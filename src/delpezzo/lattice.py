@@ -11,28 +11,26 @@ intersection-matrix update rule for contracting a (-1)-curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
-    letter: str
-    rank: int
+class DynkinType(namedtuple("DynkinType", "letter rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.letter == "A":
-            if self.rank < 1:
+    def __new__(cls, letter: str, rank: int):
+        if letter == "A":
+            if rank < 1:
                 raise ValueError("A_n requires n >= 1")
-        elif self.letter == "D":
-            if self.rank < 4:
+        elif letter == "D":
+            if rank < 4:
                 raise ValueError("D_n requires n >= 4")
-        elif self.letter == "E":
-            if self.rank not in (6, 7, 8):
+        elif letter == "E":
+            if rank not in (6, 7, 8):
                 raise ValueError("E_n requires n in {6, 7, 8}")
         else:
-            raise ValueError(f"unknown Dynkin letter {self.letter!r}")
+            raise ValueError(f"unknown Dynkin letter {letter!r}")
+        return super().__new__(cls, letter, rank)
 
     def __str__(self):
         return f"{self.letter}{self.rank}"
@@ -45,9 +43,8 @@ class DynkinType:
         return cls(text[0], int(text[1:]))
 
 
-@dataclass(frozen=True)
-class NotADE:
-    reason: str
+class NotADE(namedtuple("NotADE", "reason")):
+    __slots__ = ()
 
     def __str__(self):
         return f"NotADE({self.reason})"
@@ -114,17 +111,15 @@ def types_with_order(n: int):
 SMOOTH = "Smooth"
 
 
-@dataclass(frozen=True)
-class NonGorensteinCyclic:
+class NonGorensteinCyclic(namedtuple("NonGorensteinCyclic", "r a b")):
     """The germ 1/r(a, b) with its reflections divided out (hj_normalize)."""
 
-    r: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if math.gcd(self.r, self.a) > 1 or math.gcd(self.r, self.b) > 1:
-            raise ValueError(f"1/{self.r}({self.a},{self.b}) still contains a reflection")
+    def __new__(cls, r: int, a: int, b: int):
+        if math.gcd(r, a) > 1 or math.gcd(r, b) > 1:
+            raise ValueError(f"1/{r}({a},{b}) still contains a reflection")
+        return super().__new__(cls, r, a, b)
 
     def __str__(self):
         return f"NonGorensteinCyclic(1/{self.r}({self.a},{self.b}))"
@@ -245,33 +240,31 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass
 class CurveConfig:
-    labels: list
-    matrix: list              # symmetric integer intersection matrix
-    multiplicities: Optional[list] = None
-
-    def __post_init__(self):
-        if not isinstance(self.labels, list):
+    def __init__(self, labels: list, matrix: list, multiplicities: list | None = None):
+        if not isinstance(labels, list):
             raise ValueError("labels must be a list")
-        n = len(self.labels)
-        if not (isinstance(self.matrix, list)
-                and all(isinstance(row, list) for row in self.matrix)):
+        n = len(labels)
+        if not (isinstance(matrix, list)
+                and all(isinstance(row, list) for row in matrix)):
             raise ValueError("the intersection matrix must be a list of rows")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("intersection matrix shape must match labels")
-        if not all(_is_int(x) for row in self.matrix for x in row):
+        if not all(_is_int(x) for row in matrix for x in row):
             raise ValueError("intersection numbers must be integers")
-        if self.multiplicities is not None and not (
-                isinstance(self.multiplicities, list) and len(self.multiplicities) == n
-                and all(_is_int(m) for m in self.multiplicities)):
+        if multiplicities is not None and not (
+                isinstance(multiplicities, list) and len(multiplicities) == n
+                and all(_is_int(m) for m in multiplicities)):
             raise ValueError("multiplicities must be a list of integers, one per curve")
         for i in range(n):
             for j in range(n):
-                if self.matrix[i][j] != self.matrix[j][i]:
+                if matrix[i][j] != matrix[j][i]:
                     raise ValueError("intersection matrix must be symmetric")
-                if i != j and self.matrix[i][j] < 0:
+                if i != j and matrix[i][j] < 0:
                     raise ValueError("off-diagonal intersections must be >= 0")
+        self.labels = labels
+        self.matrix = matrix              # symmetric integer intersection matrix
+        self.multiplicities = multiplicities
 
     @classmethod
     def from_json(cls, data: dict) -> "CurveConfig":

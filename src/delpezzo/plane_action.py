@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import (DynkinType, cartan_determinant, config_sorted, cyclic_germ,
@@ -43,25 +43,23 @@ class GroupCapExceeded(RuntimeError):
 # monomial matrices modulo global scalar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class MonomialMatrix:
+class MonomialMatrix(namedtuple("MonomialMatrix", "perm scalars")):
     """Matrix with entry zeta^scalars[j] at position (perm[j], j), zero
     elsewhere, up to a global scalar.  The scalars are exponents of roots
     of unity (zeta^e = exp(2*pi*i*e)); construction divides out the first
     and reduces each into [0, 1), so scalars[0] is always 0.  Instances
     sort by (perm, scalars)."""
 
-    perm: tuple
-    scalars: tuple          # three Fraction exponents
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2]:
-            raise ActionError(f"perm {self.perm} is not a permutation of 0,1,2")
-        if len(self.scalars) != 3:
+    def __new__(cls, perm: tuple, scalars: tuple):     # three Fraction exponents
+        if sorted(perm) != [0, 1, 2]:
+            raise ActionError(f"perm {perm} is not a permutation of 0,1,2")
+        if len(scalars) != 3:
             raise ActionError("exactly three scalars required")
-        s0 = self.scalars[0]
-        scalars = tuple(s - s0 for s in self.scalars) if s0 else self.scalars
-        object.__setattr__(self, "scalars", tuple(s % 1 for s in scalars))
+        s0 = scalars[0]
+        scalars = tuple(s - s0 for s in scalars) if s0 else scalars
+        return super().__new__(cls, perm, tuple(s % 1 for s in scalars))
 
     @classmethod
     def identity(cls) -> "MonomialMatrix":
@@ -104,7 +102,7 @@ def parse_action(text: str):
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:     # RecursionError: deep nesting
         raise ActionError(f"invalid JSON: {exc}") from None
     if isinstance(data, dict):
         data = data.get("generators")
@@ -150,9 +148,10 @@ def parse_exponent(text: str) -> Fraction:
 # group closure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteActionGroup:
-    elements: tuple        # sorted
+class FiniteActionGroup(namedtuple("FiniteActionGroup", "elements")):
+    """elements: the group's MonomialMatrix elements, sorted."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -313,10 +312,10 @@ def eigen_data(m: MonomialMatrix):
     return pairs
 
 
-@dataclass
 class FixedLocus:
-    points: list            # isolated fixed points
-    line: object            # pointwise-fixed Line or None
+    def __init__(self, points: list, line):
+        self.points = points        # isolated fixed points
+        self.line = line            # pointwise-fixed Line or None
 
 
 def fixed_locus(g: MonomialMatrix) -> FixedLocus:
@@ -352,9 +351,8 @@ def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
 # stabilizer classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Unsupported:
-    reason: str
+class Unsupported(namedtuple("Unsupported", "reason")):
+    __slots__ = ()
 
     def __str__(self):
         return f"Unsupported({self.reason})"
@@ -418,12 +416,13 @@ def classify_stabilizer(stab, p: ProjectivePoint):
 # quotient profile
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OrbitData:
-    representative: ProjectivePoint
-    size: int
-    stabilizer_order: int
-    classification: object
+    def __init__(self, representative: ProjectivePoint, size: int,
+                 stabilizer_order: int, classification):
+        self.representative = representative
+        self.size = size
+        self.stabilizer_order = stabilizer_order
+        self.classification = classification
 
     def to_json(self):
         return {"representative": str(self.representative),
@@ -432,24 +431,25 @@ class OrbitData:
                 "classification": str(self.classification)}
 
 
-@dataclass
 class BranchLineData:
-    line: Line
-    e: int                  # ramification index: order of the pointwise stabilizer
-    orbit_size: int
+    def __init__(self, line: Line, e: int, orbit_size: int):
+        self.line = line
+        self.e = e                  # ramification index: order of the pointwise stabilizer
+        self.orbit_size = orbit_size
 
     def to_json(self):
         return {"line": str(self.line), "e": self.e, "orbit_size": self.orbit_size}
 
 
-@dataclass
 class QuotientProfile:
-    group_order: int
-    k2: int
-    config: tuple
-    orbits: list            # OrbitData, all special orbits incl. smooth images
-    branch_lines: list      # BranchLineData
-    euler_check: dict
+    def __init__(self, group_order: int, k2: int, config: tuple, orbits: list,
+                 branch_lines: list, euler_check: dict):
+        self.group_order = group_order
+        self.k2 = k2
+        self.config = config
+        self.orbits = orbits                # OrbitData, all special orbits incl. smooth images
+        self.branch_lines = branch_lines    # BranchLineData
+        self.euler_check = euler_check
 
     def to_json(self):
         return {"group_order": self.group_order,

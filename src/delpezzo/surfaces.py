@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import (ConductorCapExceeded, CyclotomicNumber, _poly_divmod, _poly_gcd,
@@ -110,18 +109,15 @@ def poly_str(a, names):
 # weighted polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
 class WeightedPoly:
-    names: tuple          # variable names
-    weights: tuple        # positive integer weights, one per variable
-    terms: dict           # {exponent tuple: Fraction}
-
-    def __post_init__(self):
-        if len(self.names) != len(self.weights):
+    def __init__(self, names: tuple, weights: tuple, terms: dict):
+        if len(names) != len(weights):
             raise ValueError("one weight per variable")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        self.terms = poly_clean(dict(self.terms))
+        self.names = names              # variable names
+        self.weights = weights          # positive integer weights, one per variable
+        self.terms = poly_clean(dict(terms))    # {exponent tuple: Fraction}
 
     def weighted_degree(self, e):
         return sum(w * x for w, x in zip(self.weights, e))
@@ -235,10 +231,11 @@ def is_quasi_homogeneous(f: WeightedPoly):
 # exact solving: univariate roots, resultants, stratified systems
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Indeterminate:
     """Unresolved residual factors; the solver is sound but incomplete."""
-    factors: list
+
+    def __init__(self, factors: list):
+        self.factors = factors
 
     def __str__(self):
         return f"Indeterminate({'; '.join(self.factors)})"

@@ -104,6 +104,22 @@ def test_quotient_float_perm_entry_exits_2(capsys):
     assert "is not a permutation of 0,1,2" in capsys.readouterr().err
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["quotient", "--action", DEEP_JSON], "error: invalid JSON: "),
+    (["group", "--presentation", DEEP_JSON], "error: bad presentation JSON: "),
+    (["recognize", "--config", DEEP_JSON], "error: bad curve configuration: "),
+    (["blowdown", "--config", DEEP_JSON, "--curve", "a"], "error: bad curve configuration: "),
+], ids=["quotient", "group", "recognize", "blowdown"])
+def test_deeply_nested_json_exits_2(capsys, argv, prefix):
+    # json.loads raises RecursionError on deep nesting: malformed input,
+    # not an internal error (exit 3)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(prefix)
+
+
 def test_classify(capsys):
     code, out = run(capsys, "classify", "--top", "Q")
     assert code == 0

@@ -2,7 +2,11 @@
 and the boundary of src/: what it defines, src/ or bench/ names."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import delpezzo
 
@@ -96,3 +100,60 @@ def test_src_holds_only_what_src_or_bench_names():
                        for where, line in mentions.get(node.name, [])):
                 unnamed.append(path.stem + dotted)
     assert sorted(unnamed) == sorted(TEST_ONLY)
+
+
+# what a subcommand process must not pay for at start-up: dataclasses
+# imports inspect, which imports ast, dis and tokenize
+STARTUP_FREE = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_src_imports_no_startup_heavy_module():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & STARTUP_FREE, (path.name, node.lineno)
+
+
+SUBCOMMAND_ARGVS = {
+    "quotient": ["quotient", "--builtin", "quaternion8"],
+    "classify": ["classify", "--top", "Q"],
+    "lemma1": ["lemma1"],
+    "group": ["group", "--presentation", "gens=2; rel=1^2; rel=2^3; rel=(1 2)^3",
+              "--abelianization", "--hom", "2"],
+    "mumford": ["mumford", "--i", "5"],
+    "recognize": ["recognize", "--config", '{"labels": ["a", "b"], "matrix": [[-2, 1], [1, -2]]}'],
+    "blowdown": ["blowdown", "--config", '{"labels": ["a", "b"], "matrix": [[-1, 1], [1, -2]]}',
+                 "--curve", "a"],
+    "wps": ["wps", "--poly", "vars X:1 Y:1 Z:1\nX^2 + Y^2 + Z^2", "--singular"],
+    "germ": ["germ", "--poly", "vars x:1 y:1\nx^2 - y^3", "--at", "0,0"],
+    "fibers": ["fibers"],
+    "report": ["report"],
+}
+
+
+def test_every_subcommand_is_pinned():
+    from delpezzo import cli
+
+    assert sorted(SUBCOMMAND_ARGVS) == sorted(n[4:] for n in vars(cli) if n.startswith("cmd_"))
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGVS))
+def test_subcommand_process_loads_no_startup_heavy_module(command):
+    # -S: no site, since a .pth file in site-packages may import typing itself
+    argv = SUBCOMMAND_ARGVS[command]
+    script = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+              "from delpezzo import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(*sorted(sys.modules), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert not loaded & STARTUP_FREE
+    if command in ("mumford", "group"):
+        assert "fractions" not in loaded
