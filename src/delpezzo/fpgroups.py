@@ -14,6 +14,7 @@ exponent-sum matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import namedtuple
@@ -112,17 +113,9 @@ def format_presentation(p: Presentation) -> str:
     def fmt_rel(rel):
         # run-length encode into factors
         parts = []
-        i = 0
-        while i < len(rel):
-            g = rel[i]
-            j = i
-            while j < len(rel) and rel[j] == g:
-                j += 1
-            count = j - i
-            base = abs(g)
-            exp = count if g > 0 else -count
-            parts.append(str(base) if exp == 1 else f"{base}^{exp}")
-            i = j
+        for g, run in itertools.groupby(rel):
+            exp = len(list(run)) * (1 if g > 0 else -1)
+            parts.append(str(abs(g)) if exp == 1 else f"{abs(g)}^{exp}")
         return " * ".join(parts)
 
     rels = "; ".join(f"rel={fmt_rel(r)}" for r in p.relators)

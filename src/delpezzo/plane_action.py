@@ -5,8 +5,9 @@ root-of-unity entries) considered up to a global scalar, i.e. as elements
 of PGL(3).  Each is stored in its projective normal form, with the first
 column's scalar divided out, so elements equal in PGL(3) compare and hash
 equal.  Everything downstream is exact: eigenvalues come cycle-wise as
-roots of unity, and every fixed point and pointwise-fixed line of a
-monomial element has coordinates in {0} and the roots of unity.  A root
+roots of unity, every fixed point of a monomial element has coordinates
+in {0} and the roots of unity, and a pointwise-fixed line is v^perp for
+its pole v, the one isolated fixed point of an element fixing it.  A root
 of unity zeta^e = exp(2*pi*i*e) is stored everywhere as its exponent e,
 a Fraction in [0, 1), so matrix scalars, eigenvalues and points are
 multiplied, compared, sorted and hashed without field arithmetic.
@@ -88,10 +89,6 @@ class MonomialMatrix(namedtuple("MonomialMatrix", "perm scalars")):
         denominators of lambda_i - lambda_0."""
         lams = [lam for lam, _ in eigen_data(self)]
         return math.lcm(*(((lam - lams[0]) % 1).denominator for lam in lams[1:]))
-
-    def normal_action(self) -> "MonomialMatrix":
-        """The induced action on line normals (inverse transpose)."""
-        return MonomialMatrix(self.perm, tuple(-s for s in self.scalars))
 
 
 def parse_action(text: str):
@@ -183,11 +180,10 @@ def close_group(gens, cap: int = GROUP_CAP) -> FiniteActionGroup:
 
 
 # ---------------------------------------------------------------------------
-# projective points and lines
+# projective points
 # ---------------------------------------------------------------------------
 
 HALF = Fraction(1, 2)
-THIRDS = {Fraction(1, 3), Fraction(2, 3)}
 
 
 def _root_str(e) -> str:
@@ -241,38 +237,6 @@ class ProjectivePoint:
         return f"ProjectivePoint({self})"
 
 
-class Line:
-    """Line in P^2 stored by its normal vector, a ProjectivePoint."""
-
-    __slots__ = ("normal",)
-
-    def __init__(self, normal: ProjectivePoint):
-        self.normal = normal
-
-    def contains(self, p: ProjectivePoint) -> bool:
-        """Whether normal . p, a sum of at most three roots of unity, is 0:
-        two cancel only as z - z, three only as a rotation of 1 + w + w^2
-        with w a primitive cube root of unity."""
-        terms = [a + b for a, b in zip(self.normal.exps, p.exps)
-                 if a is not None and b is not None]
-        if len(terms) < 2:
-            return not terms
-        offsets = {(t - terms[0]) % 1 for t in terms[1:]}
-        return offsets == ({HALF} if len(terms) == 2 else THIRDS)
-
-    def transformed(self, m: MonomialMatrix) -> "Line":
-        return Line(self.normal.transformed(m.normal_action()))
-
-    def __eq__(self, other):
-        return isinstance(other, Line) and self.normal == other.normal
-
-    def __hash__(self):
-        return hash(self.normal)
-
-    def __str__(self):
-        return f"{{{self.normal} . x = 0}}"
-
-
 # ---------------------------------------------------------------------------
 # eigen data and fixed loci
 # ---------------------------------------------------------------------------
@@ -312,25 +276,21 @@ def eigen_data(m: MonomialMatrix):
     return pairs
 
 
-class FixedLocus:
-    def __init__(self, points: list, line):
-        self.points = points        # isolated fixed points
-        self.line = line            # pointwise-fixed Line or None
-
-
-def fixed_locus(g: MonomialMatrix) -> FixedLocus:
-    """Isolated fixed points and the pointwise-fixed line (if any) of a
-    non-identity projective transformation.  g is unitary and not scalar,
-    so a double eigenspace is v^perp for the one isolated eigenvector v, and
-    the line's normal is conj(v): the exponents of v negated."""
+def fixed_locus(g: MonomialMatrix) -> list:
+    """The isolated fixed points of a non-identity element.  g is
+    diagonalizable and not scalar: three simple eigenvalues give three
+    points and no line, a simple and a double one give one point v, the
+    pole of g's pointwise-fixed line v^perp (g is unitary)."""
     if g.is_identity():
         raise ActionError("fixed_locus of the identity is everything")
     pairs = eigen_data(g)
     values = [lam for lam, _ in pairs]
-    isolated = [v for lam, v in pairs if values.count(lam) == 1]
-    line = None if len(isolated) == 3 else Line(ProjectivePoint(
-        [None if e is None else -e for e in isolated[0].exps]))
-    return FixedLocus(isolated, line)
+    return [v for lam, v in pairs if values.count(lam) == 1]
+
+
+def _normal(pole: ProjectivePoint) -> ProjectivePoint:
+    """The normal conj(pole) of pole^perp: the pole's exponents negated."""
+    return ProjectivePoint([None if e is None else -e for e in pole.exps])
 
 
 def tangent_eigenvalues(g: MonomialMatrix, p: ProjectivePoint):
@@ -432,13 +392,14 @@ class OrbitData:
 
 
 class BranchLineData:
-    def __init__(self, line: Line, e: int, orbit_size: int):
-        self.line = line
+    def __init__(self, normal: ProjectivePoint, e: int, orbit_size: int):
+        self.normal = normal        # the line is {normal . x = 0}
         self.e = e                  # ramification index: order of the pointwise stabilizer
         self.orbit_size = orbit_size
 
     def to_json(self):
-        return {"line": str(self.line), "e": self.e, "orbit_size": self.orbit_size}
+        return {"line": f"{{{self.normal} . x = 0}}", "e": self.e,
+                "orbit_size": self.orbit_size}
 
 
 class QuotientProfile:
@@ -460,21 +421,21 @@ class QuotientProfile:
                 "euler_check": self.euler_check}
 
 
-def _orbits(group: FiniteActionGroup, items, image):
-    """The orbits of a G-stable list of items, each met first at its
+def _orbits(group: FiniteActionGroup, points):
+    """The orbits of a G-stable list of points, each met first at its
     earliest member: yields (first, orbit, stabilizer), the orbit's
     members in the order the group elements produce them and the
     stabilizer of first, both read off one list of images."""
-    unassigned = dict.fromkeys(items)
-    for first in items:
+    unassigned = dict.fromkeys(points)
+    for first in points:
         if first not in unassigned:
             continue
-        images = [image(first, g) for g in group.elements]
+        images = [first.transformed(g) for g in group.elements]
         orbit = list(dict.fromkeys(images))
         for x in orbit:
             if x not in unassigned:
                 raise RuntimeError(f"the image {x} of {first} is not among the "
-                                   "items: they are not G-stable")
+                                   "points: they are not G-stable")
             del unassigned[x]
         yield first, orbit, [g for g, x in zip(group.elements, images) if x == first]
 
@@ -487,39 +448,40 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     g1 and g2: at p these act on the tangent plane as unitary reflections
     with distinct mirrors, so g1*g2 != 1 fixes no tangent vector there and
     p is an isolated fixed point of g1*g2.  Conjugate elements have
-    conjugate fixed loci, so both the candidates and the lines are
-    G-stable: sorted by key, each orbit is met first at its key-least
-    member, its representative.  Special orbits are classified by their
-    stabilizers; branch lines get their ramification index from the order
-    of their pointwise stabilizer.  K^2 from the branch lines is checked
-    against the local Noether terms of the special orbits.
+    conjugate fixed loci, so the candidates are G-stable: sorted by key,
+    each orbit is met first at its key-least member, its representative.
+    Special orbits are classified by their stabilizers.  A fixed line is
+    named by its pole, and g maps the pole of h to that of ghg^-1, so a
+    line orbit is the (special) orbit of its pole, with ramification index
+    1 + the number of the pole's fixers.  K^2 from the branch lines is
+    checked against the local Noether terms of the special orbits.
     """
     n = group.order
-    loci = [fixed_locus(g) for g in group.non_identity()]
+    fixers = {}              # pole -> the elements fixing its line pointwise
+    candidates = set()
+    for g in group.non_identity():
+        points = fixed_locus(g)
+        candidates.update(points)
+        if len(points) == 1:
+            fixers.setdefault(points[0], []).append(g)
 
-    # pointwise-fixed lines with their pointwise stabilizer orders
-    line_e = {}
-    for loc in loci:
-        if loc.line is not None:
-            line_e[loc.line] = line_e.get(loc.line, 1) + 1
-    lines = sorted(line_e, key=lambda l: l.normal.key())
-    candidates = sorted({p for loc in loci for p in loc.points}, key=ProjectivePoint.key)
-
-    orbits = []
+    orbits, branch = [], []
     special = []             # every point of a special orbit
-    for rep, orbit, stab in _orbits(group, candidates, ProjectivePoint.transformed):
+    for rep, orbit, stab in _orbits(group, sorted(candidates, key=ProjectivePoint.key)):
         if len(orbit) * len(stab) != n:
             raise ActionError(f"orbit of {rep} has size {len(orbit)} but its "
                               f"stabilizer has order {len(stab)} in a group of order {n}")
         if len(stab) == 1:
-            continue        # free orbit: never a singular image
+            continue        # free orbit: never a singular image, never a pole
         cls = classify_stabilizer(stab, rep)
         if isinstance(cls, Unsupported):
             raise ActionError(str(cls))
         orbits.append(OrbitData(rep, len(orbit), len(stab), cls))
         special += orbit
-    branch = [BranchLineData(rep, line_e[rep], len(orbit))
-              for rep, orbit, _ in _orbits(group, lines, Line.transformed)]
+        if rep in fixers:
+            branch.append(BranchLineData(min(map(_normal, orbit), key=ProjectivePoint.key),
+                                         len(fixers[rep]) + 1, len(orbit)))
+    branch.sort(key=lambda b: b.normal.key())
 
     # K^2 bookkeeping: K_{P^2} = f^* K_V + sum (e-1) Gamma over branch lines;
     # the minimal resolution of V, of Picard rank 1 + sum l, gives 9 - sum l + sum c
@@ -535,27 +497,30 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
 
     config = config_sorted([o.classification for o in orbits
                             if isinstance(o.classification, DynkinType)])
-    euler = _euler_stratification(n, special, len(orbits), line_e)
+    euler = _euler_stratification(n, special, len(orbits), fixers)
     return QuotientProfile(n, k2, config, orbits, branch, euler)
 
 
-def _euler_stratification(n, special, special_orbits, line_e):
+def _euler_stratification(n, special, special_orbits, fixers):
     """Euler-number multiplicativity, stratum by stratum.
 
     P^2 splits into the free locus, the pointwise-fixed lines minus
     special points, and the special point orbits.  Each stratum covers
     its image with constant degree (|G|, |G|/e, |G|/|stab|), so
-    chi(P^2) = 3 upstairs must reassemble to chi(quotient) = 3.
+    chi(P^2) = 3 upstairs must reassemble to chi(quotient) = 3.  A line
+    is v^perp for its pole v, and p lies on it exactly when p != v and a
+    fixer of v fixes p: that fixer's fixed points are v and v^perp.
 
     With no branch lines this is exactly
     3 - #special points = |G| * (3 - #special orbits).
     """
     chi_line_strata = 0      # upstairs
     chi_line_images = Fraction(0)
-    for line, e in line_e.items():
-        chi = 2 - sum(1 for p in special if line.contains(p))
+    for pole, elements in fixers.items():
+        g = elements[0]
+        chi = 2 - sum(1 for p in special if p != pole and p.transformed(g) == p)
         chi_line_strata += chi
-        chi_line_images += Fraction(chi * e, n)
+        chi_line_images += Fraction(chi * (len(elements) + 1), n)
     chi_free = 3 - chi_line_strata - len(special)
     ok = chi_free % n == 0 and chi_line_images.denominator == 1
     chi_quotient = Fraction(chi_free, n) + chi_line_images + special_orbits

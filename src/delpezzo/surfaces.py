@@ -131,6 +131,7 @@ class WeightedPoly:
 
 _TERM_RE = re.compile(r"[+-]|[^+\-\s]+")
 MAX_COEFFICIENT_BITS = 4096     # numerator and denominator of a term's coefficient
+MAX_EXPONENT = 4096             # of one variable in one term
 
 
 def _times_power(coeff: Fraction, base: Fraction, power: int, term: str) -> Fraction:
@@ -195,6 +196,9 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
             power = int(power) if caret else 1
             if base in index:
                 expo[index[base]] += power
+                if expo[index[base]] > MAX_EXPONENT:
+                    raise ValueError(f"the exponent of {base} in {tok!r} passes "
+                                     f"{MAX_EXPONENT}")
                 continue
             try:
                 value = params[base] if base in params else Fraction(base)
@@ -483,8 +487,11 @@ def cone_singular_points(f: WeightedPoly):
     leftovers = []
     for support in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(1, n + 1)):
-        pivot, free = support[0], support[1:]
-        # off the support the coordinates are 0; scale the pivot to 1
+        # off the support the coordinates are 0; scale a coordinate of
+        # least weight to 1: its weight does not depend on the variable
+        # order, and a weight-1 pivot keeps a rational point rational
+        pivot = min(support, key=lambda i: f.weights[i])
+        free = tuple(i for i in support if i != pivot)
         values = {i: Fraction(0) for i in range(n) if i not in support}
         values[pivot] = Fraction(1)
         sols, left = solve_system([poly_specialize(eq, values) for eq in system],
@@ -505,13 +512,14 @@ def cone_singular_points(f: WeightedPoly):
 
 def _is_scaled_copy(point, found, weights):
     """Whether point is x_i -> zeta_w^(k*w_i) * x_i of a found point, where
-    w is the weight of its pivot (first nonzero coordinate): the scalings
-    that keep the pivot at 1.  They depend on k only mod w/g, g the gcd of
-    the weights of the nonzero coordinates.  An image past the conductor
-    cap counts as a different point."""
+    w is the weight of its pivot (a nonzero coordinate of least weight):
+    the scalings that keep the pivot at 1.  They depend on k only mod w/g,
+    g the gcd of the weights of the nonzero coordinates.  An image past
+    the conductor cap counts as a different point."""
     support = [wi for c, wi in zip(point, weights) if c]
-    for k in range(support[0] // math.gcd(*support)):
-        exps = [Fraction(k * wi, support[0]) for wi in weights]
+    w = min(support)
+    for k in range(w // math.gcd(*support)):
+        exps = [Fraction(k * wi, w) for wi in weights]
         try:
             image = tuple(c if e.denominator == 1
                           else c * CyclotomicNumber.zeta(e.denominator, e.numerator)

@@ -246,15 +246,16 @@ def test_criterion_8b_fixed_points():
         on_lines = collections.Counter()
         for _ in range(N_CASES):
             name = rng.choice(sorted(loci))
-            g, loc = rng.choice(loci[name])
-            p = rng.choice(loc.points)
+            g, points = rng.choice(loci[name])
+            p = rng.choice(points)
             assert p.transformed(g) == p
-            if loc.line is not None:
-                # a random point of the pointwise-fixed line is fixed too
-                normal = loc.line.normal
+            if len(points) == 1:
+                # a random point of the pointwise-fixed line pole^perp is
+                # fixed too, and is not the pole
+                normal = P._normal(p)
                 assert None in normal.exps
                 q = _random_point_on(rng, normal.exps)
-                assert loc.line.contains(q)
+                assert q != p
                 coords = _cyclotomic_coords(q)
                 dot = sum((a * b for a, b in zip(_cyclotomic_coords(normal), coords)),
                           CyclotomicNumber.zero())

@@ -318,6 +318,20 @@ def test_coefficient_over_the_cap_exits_2_fast(capsys, argv, term):
                                        f"{term!r} passes 4096 bits\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wps", "--poly", "vars X:1 Y:1\nX*Y^100000000000", "--singular"],
+     "the exponent of Y in 'X*Y^100000000000' passes 4096"),
+    (["germ", "--poly", "vars x:1 y:1\nx^100000000000 + y", "--at", "2,0"],
+     "the exponent of x in 'x^100000000000' passes 4096"),
+], ids=["wps", "germ"])
+def test_exponent_over_the_cap_exits_2_fast(capsys, argv, message):
+    # both ran out of memory (exit 3) before the exponent cap
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == f"error: bad polynomial: {message}\n"
+
+
 def test_wps_minus_after_negative_term(capsys):
     # -Y (X^2 + Z^2): the points off Y = 0 are X = 1, Z = +-i
     code, out = run(capsys, "wps", "--poly", "vars X:1 Y:1 Z:1\n-X^2*Y - Y*Z^2",

@@ -15,13 +15,13 @@ from delpezzo.lattice import (SMOOTH, A, D, NonGorensteinCyclic, config_str, hj_
 from delpezzo.plane_action import (
     ActionError,
     GroupCapExceeded,
-    Line,
     MonomialMatrix,
     ProjectivePoint,
     Unsupported,
     _abelianization_order,
     _closure,
     _generators,
+    _normal,
     _orbits,
     builtin_actions,
     classify_stabilizer,
@@ -51,6 +51,20 @@ def pt(*coords):
 def _stabilizer(group, p):
     """The stabilizer of p, by brute force over the group's elements."""
     return [g for g in group.elements if p.transformed(g) == p]
+
+
+def _on_line(g, pole, p):
+    """The membership rule of quotient_profile: g's fixed points are its
+    pole and the line pole^perp, so p lies on the line exactly when it is
+    another fixed point of g."""
+    return p != pole and p.transformed(g) == p
+
+
+def _transpose_image(g, normal):
+    """The normal of g's image of the line {normal . x = 0}: the normal
+    under the inverse transpose of g, which permutes like g and negates
+    its scalars."""
+    return normal.transformed(MonomialMatrix(g.perm, tuple(-s for s in g.scalars)))
 
 
 def zeta(e):
@@ -214,23 +228,23 @@ class TestCloseGroup:
 class TestFixedLocus:
     def test_distinct_eigenvalues(self):
         g = mono((0, 1, 2), ("0", "1/3", "2/3"))
-        loc = fixed_locus(g)
-        assert loc.line is None
-        assert set(loc.points) == {pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)}
+        points = fixed_locus(g)
+        assert len(points) == 3
+        assert set(points) == {pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)}
 
     def test_pseudo_reflection_line(self):
         g = mono((0, 1, 2), ("0", "0", "1/2"))
-        loc = fixed_locus(g)
-        assert loc.line is not None
-        assert loc.points == [pt(0, 0, 1)]
-        assert loc.line.contains(pt(1, 0, 0))
-        assert loc.line.contains(pt(1, "1/5", 0))
-        assert not loc.line.contains(pt(0, 0, 1))
+        pole = pt(0, 0, 1)
+        assert fixed_locus(g) == [pole]
+        assert _normal(pole) == pole
+        assert _on_line(g, pole, pt(1, 0, 0))
+        assert _on_line(g, pole, pt(1, "1/5", 0))
+        assert not _on_line(g, pole, pole)
+        assert not _on_line(g, pole, pt(1, 0, 1))
 
     def test_permutation_fixed_points(self):
         g = mono((1, 2, 0), ("0", "0", "0"))
-        loc = fixed_locus(g)
-        assert pt(1, 1, 1) in loc.points
+        assert pt(1, 1, 1) in fixed_locus(g)
 
     def test_identity_rejected(self):
         with pytest.raises(ActionError):
@@ -239,11 +253,16 @@ class TestFixedLocus:
     def test_fixed_points_are_fixed(self):
         for gens in builtin_actions().values():
             for g in close_group(gens).non_identity():
-                loc = fixed_locus(g)
-                for p in loc.points:
+                points = fixed_locus(g)
+                assert len(points) in (1, 3)
+                for p in points:
                     assert p.transformed(g) == p
-                if loc.line is not None:
-                    assert loc.line.transformed(g) == loc.line
+                    # a lone point is a pole: g acts on the tangent plane
+                    # there as a scalar, fixing every direction of its line
+                    t1, t2 = tangent_eigenvalues(g, p)
+                    assert (t1 == t2) == (len(points) == 1)
+                if len(points) == 1:
+                    assert _transpose_image(g, _normal(points[0])) == _normal(points[0])
 
 
 class TestTangent:
@@ -354,10 +373,9 @@ def test_stabilizer_generators_against_all_pairs():
             group = close_group(gens, cap=24)
         except GroupCapExceeded:
             continue
-        points = {p for g in group.non_identity() for p in fixed_locus(g).points}
+        points = {p for g in group.non_identity() for p in fixed_locus(g)}
         seen = set()
-        for p, _, stab in _orbits(group, sorted(points, key=ProjectivePoint.key),
-                                  ProjectivePoint.transformed):
+        for p, _, stab in _orbits(group, sorted(points, key=ProjectivePoint.key)):
             if frozenset(stab) in seen:
                 continue
             seen.add(frozenset(stab))
@@ -483,12 +501,17 @@ def test_unsupported_action_raises():
 # one image pass per orbit over G-stable lists in key order
 # ---------------------------------------------------------------------------
 
-def _candidates_and_lines(group):
-    """The candidate points and pointwise-fixed lines of quotient_profile,
-    recomputed here: the isolated fixed points and the fixed lines."""
-    loci = [fixed_locus(g) for g in group.non_identity()]
-    lines = list(dict.fromkeys(loc.line for loc in loci if loc.line is not None))
-    return {p for loc in loci for p in loc.points}, lines
+def _candidates_and_poles(group):
+    """The candidate points of quotient_profile, recomputed here, and the
+    poles of the pointwise-fixed lines, each with the elements fixing its
+    line pointwise."""
+    points, poles = set(), {}
+    for g in group.non_identity():
+        fixed = fixed_locus(g)
+        points.update(fixed)
+        if len(fixed) == 1:
+            poles.setdefault(fixed[0], []).append(g)
+    return points, poles
 
 
 def _seeded_groups():
@@ -515,10 +538,9 @@ def _seeded_groups():
 def test_orbit_pass_against_brute_force():
     answered = 0
     for group in _seeded_groups():
-        points, lines = _candidates_and_lines(group)
+        points, poles = _candidates_and_poles(group)
         brute = {}           # orbit minimum -> (orbit size, stabilizer order)
-        for first, orbit, stab in _orbits(group, sorted(points, key=ProjectivePoint.key),
-                                          ProjectivePoint.transformed):
+        for first, orbit, stab in _orbits(group, sorted(points, key=ProjectivePoint.key)):
             full = {first.transformed(g) for g in group.elements}
             assert set(orbit) == full and first == min(full, key=ProjectivePoint.key)
             assert stab == _stabilizer(group, first)
@@ -532,19 +554,24 @@ def test_orbit_pass_against_brute_force():
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         for o in profile.orbits:
             assert brute[o.representative] == (o.size, o.stabilizer_order)
-        keys = [b.line.normal.key() for b in profile.branch_lines]
+        keys = [b.normal.key() for b in profile.branch_lines]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        normals = {_normal(v): v for v in poles}
         for b in profile.branch_lines:
-            full = {b.line.transformed(g) for g in group.elements}
-            assert b.line.normal == min((l.normal for l in full), key=ProjectivePoint.key)
-            assert b.orbit_size == len(full) and full <= set(lines)
+            # the line orbit under the inverse transpose, not through poles
+            full = {_transpose_image(g, b.normal) for g in group.elements}
+            assert b.normal == min(full, key=ProjectivePoint.key)
+            assert b.orbit_size == len(full) and full <= set(normals)
+            assert b.e == len(poles[normals[b.normal]]) + 1
+        pole_orbits = {frozenset(v.transformed(g) for g in group.elements) for v in poles}
+        assert len(profile.branch_lines) == len(pole_orbits)
     assert answered >= 150, answered
 
 
 def test_orbits_refuse_a_list_that_is_not_g_stable():
     group = close_group(builtin_actions()["z3"])
     with pytest.raises(RuntimeError, match="not G-stable"):
-        list(_orbits(group, [pt(1, 1, 1)], ProjectivePoint.transformed))
+        list(_orbits(group, [pt(1, 1, 1)]))
 
 
 def test_refusal_names_the_key_least_unsupported_point():
@@ -585,7 +612,7 @@ def test_point_normalisation():
     assert ProjectivePoint((Fraction(1, 2), Fraction(7, 4), Fraction(-1, 3))).exps == (
         Fraction(0), Fraction(1, 4), Fraction(1, 6))
     assert ProjectivePoint.__slots__ == ("exps",)
-    assert pt(1, 0, 0) in fixed_locus(mono((0, 1, 2), ("0", "1/3", "2/3"))).points
+    assert pt(1, 0, 0) in fixed_locus(mono((0, 1, 2), ("0", "1/3", "2/3")))
     with pytest.raises(ActionError):
         ProjectivePoint((None, None, None))
     with pytest.raises(ActionError):
@@ -668,8 +695,11 @@ def test_exponent_points_match_cyclotomic_reference():
     elements = [g for g in (_random_element(rng, perms) for _ in range(30))
                 if not g.is_identity()]
     loci = [fixed_locus(g) for g in elements]
-    points = [p for loc in loci for p in loc.points]
-    lines = list(dict.fromkeys(loc.line for loc in loci if loc.line is not None))
+    points = [p for loc in loci for p in loc]
+    lines = {}           # pole -> an element fixing its line pointwise
+    for g, loc in zip(elements, loci):
+        if len(loc) == 1:
+            lines.setdefault(loc[0], g)
     assert all(p.exps is not None for p in points) and len(lines) >= 8
 
     for g in elements:
@@ -678,22 +708,19 @@ def test_exponent_points_match_cyclotomic_reference():
 
     assert _fixed_line_claims(elements)[1] >= 80
 
-    # contains: sums of up to two terms from the monomial loci, and of
-    # three terms against normals made to vanish on a full-support point
-    full = [p for p in points if None not in p.exps][:4]
-    cubic = [Line(ProjectivePoint((Fraction(0), Fraction(1, 3) - p.exps[1],
-                                   Fraction(2, 3) - p.exps[2]))) for p in full]
+    # the membership rule against the normal's dot product, on every
+    # point of the monomial loci
     hits = 0
-    for line in lines + cubic:
-        for p in rng.sample(points, 6) + full:
-            got = line.contains(p)
-            assert got == _dot(_ref(line.normal), _ref(p)).is_zero()
+    for pole, g in lines.items():
+        for p in dict.fromkeys(points):
+            got = _on_line(g, pole, p)
+            assert got == _dot(_ref(_normal(pole)), _ref(p)).is_zero()
             hits += got
-    assert hits >= 8 and all(l.contains(p) for l, p in zip(cubic, full))
+    assert hits >= 25, hits
 
     for g, loc in zip(elements, loci):
         spectrum = _spectrum(g)
-        for p in loc.points:
+        for p in loc:
             image, coords = apply(g, _ref(p)), _ref(p)
             lam = next(mu for mu in spectrum
                        if all((a - zeta(mu) * b).is_zero()
@@ -706,28 +733,28 @@ def test_exponent_points_match_cyclotomic_reference():
 
 def _fixed_line_claims(elements):
     """Check the two claims fixed_locus and quotient_profile rest on
-    against the field reference's cross product: a fixed line's normal is
-    the cross of the two eigenvectors of the double eigenvalue, and the
-    distinct fixed lines of g1 and g2 meet at an isolated fixed point of
-    g1*g2, which both lines contain.  Returns the numbers of lines and of
-    meets checked."""
+    against the field reference's cross product: a fixed line's normal,
+    conj of its pole, is the cross of the two eigenvectors of the double
+    eigenvalue, and the distinct fixed lines of g1 and g2 meet at an
+    isolated fixed point of g1*g2, which lies on both.  Returns the
+    numbers of lines and of meets checked."""
     with_line = []
     for g in elements:
-        if g.is_identity() or (line := fixed_locus(g).line) is None:
+        if g.is_identity() or len(fixed := fixed_locus(g)) != 1:
             continue
         pairs = eigen_data(g)
         values = [lam for lam, _ in pairs]
         u, v = [_ref(w) for lam, w in pairs if values.count(lam) == 2]
-        assert _same_point(_ref(line.normal), cross(u, v))
-        with_line.append((g, line))
+        assert _same_point(_ref(_normal(fixed[0])), cross(u, v))
+        with_line.append((g, fixed[0]))
     meets = 0
-    for (g1, l1), (g2, l2) in itertools.combinations(with_line, 2):
-        if l1 == l2:
+    for (g1, v1), (g2, v2) in itertools.combinations(with_line, 2):
+        if v1 == v2:
             continue
-        meet = cross(_ref(l1.normal), _ref(l2.normal))
+        meet = cross(_ref(_normal(v1)), _ref(_normal(v2)))
         assert not all(c.is_zero() for c in meet)
-        q = [p for p in fixed_locus(g1 * g2).points if _same_point(_ref(p), meet)]
-        assert len(q) == 1 and l1.contains(q[0]) and l2.contains(q[0])
+        q = [p for p in fixed_locus(g1 * g2) if _same_point(_ref(p), meet)]
+        assert len(q) == 1 and _on_line(g1, v1, q[0]) and _on_line(g2, v2, q[0])
         meets += 1
     return len(with_line), meets
 
@@ -746,3 +773,30 @@ def test_fixed_lines_against_the_cross_product():
         lines, meets = lines + got[0], meets + got[1]
     assert [_gbar(m).order for m in range(1, 5)] == [6, 24, 54, 96]
     assert lines >= 500 and meets >= 650, (lines, meets)
+
+
+def test_poles_name_the_fixed_lines():
+    # conjugation moves poles with the group, a pole has at most two
+    # nonzero coordinates, and the key-least normal over a pole orbit is
+    # the key-least normal over the line orbit, the rule of a branch
+    # entry.  No answered profile has a line orbit of more than one line,
+    # so that rule is checked here orbit by orbit, on G-bar(m,1,3) too.
+    sizes = set()
+    for group in itertools.chain(_seeded_groups(), map(_gbar, range(1, 5))):
+        points, poles = _candidates_and_poles(group)
+        for v, fixers in poles.items():
+            assert v.exps.count(None) >= 1
+            for g in group.elements:
+                for h in fixers:
+                    assert fixed_locus(g * h * g.inverse()) == [v.transformed(g)]
+        for first, orbit, _ in _orbits(group, sorted(points, key=ProjectivePoint.key)):
+            if first not in poles:
+                assert not set(orbit) & poles.keys()
+                continue
+            assert set(orbit) <= poles.keys()
+            full = {_transpose_image(g, _normal(first)) for g in group.elements}
+            assert len(full) == len(orbit)
+            assert min(map(_normal, orbit), key=ProjectivePoint.key) == \
+                min(full, key=ProjectivePoint.key)
+            sizes.add(len(orbit))
+    assert {1, 3, 6, 12} <= sizes, sizes

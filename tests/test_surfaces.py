@@ -87,6 +87,16 @@ class TestParsePoly:
                   a="-1")
         assert f.terms == {(1, 0): 1, (0, 1): -1}
 
+    def test_exponents_are_capped(self):
+        assert S.MAX_EXPONENT == 4096
+        # a variable's exponent in a term, summed over its factors
+        assert parse("vars X:1 Y:1\nX*Y^4096").terms == {(1, 4096): 1}
+        assert parse("vars X:1 Y:1\nX^4000*X^96 + Y").terms == {(4096, 0): 1, (0, 1): 1}
+        for text, name in [("X*Y^4097", "Y"), ("X^4000*X^97", "X"),
+                           ("X*Y^100000000000", "Y"), ("x^100000000000 + y", "x")]:
+            with pytest.raises(ValueError, match=rf"the exponent of {name} in .* passes 4096"):
+                parse("vars X:1 Y:1 x:1 y:1\n" + text)
+
 
 def test_poly_text_round_trip():
     # names, weights and terms -> "vars" header + poly_str -> parse_poly
@@ -386,6 +396,42 @@ class TestSingularPoints:
         assert time.perf_counter() - start < 5
         assert [[str(c) for c in p] for p in pts] == [["0", "0", "1"], ["1", "1", "0"],
                                                      ["1", "-1", "0"]]
+
+    def test_rational_points_in_every_variable_order(self):
+        # the pivot is a coordinate of least weight, so these rational
+        # points keep rational coordinates whichever variable comes first
+        weights = {"X": 1, "Y": 2, "Z": 3}
+        for order in itertools.permutations("XYZ"):
+            header = "vars " + " ".join(f"{v}:{weights[v]}" for v in order)
+            f = parse(header + "\n2*X^6 - 4*X^3*Z + 4*Z^2 + 4*X^2*Y^2 - 4*X^4*Y")
+            pts = S.cone_singular_points(f)
+            assert not isinstance(pts, S.Indeterminate), order
+            back = {tuple(str(p[order.index(v)]) for v in "XYZ") for p in pts}
+            assert back == {("0", "1", "0"), ("1", "1/2", "1/2")}, order
+            # (Y^2 - X^4)^2 vanishes along a curve: the same Indeterminate
+            # in every order, at once
+            f = parse(header + "\nX^6*Y^6 - 2*X^10*Y^4 + X^14*Y^2")
+            start = time.perf_counter()
+            out = S.cone_singular_points(f)
+            assert time.perf_counter() - start < 5, order
+            assert out.factors == [S.UNDERDETERMINED], order
+
+    def test_verdict_does_not_depend_on_variable_order(self):
+        # weights whose supports each have one coordinate of least weight:
+        # every order scales the same coordinate to 1, so every order
+        # answers with the same number of points or every order refuses
+        rng = random.Random(20)
+        for _ in range(30):
+            weights = (1, 2, 3)
+            f = _form_singular_where_two_forms_vanish(rng, weights)
+            verdicts = set()
+            for order in itertools.permutations(range(3)):
+                g = S.WeightedPoly(tuple("XYZ"[i] for i in order),
+                                   tuple(weights[i] for i in order),
+                                   {tuple(e[i] for i in order): c for e, c in f.items()})
+                pts = S.cone_singular_points(g)
+                verdicts.add(None if isinstance(pts, S.Indeterminate) else len(pts))
+            assert len(verdicts) == 1, (f, verdicts)
 
     def test_point_count_does_not_depend_on_variable_order(self):
         rng = random.Random(1)
