@@ -24,8 +24,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import (DynkinType, cartan_determinant, config_sorted, cyclic_germ,
-                      local_noether_terms, types_with_order)
+from .lattice import (DynkinType, config_sorted, cyclic_germ, local_noether_terms,
+                      types_with_order)
 
 GROUP_CAP = 720
 
@@ -329,16 +329,6 @@ def _generators(elements):
     return gens
 
 
-def _abelianization_order(elements, gens):
-    """|H / [H,H]| for a finite group H given as a list of its elements
-    and a generating set gens; [H,H] is generated by the conjugates of the
-    generators' commutators."""
-    commutators = [x * y * x.inverse() * y.inverse()
-                   for x, y in itertools.combinations(gens, 2)]
-    conjugates = {h * c * h.inverse() for h in elements for c in commutators}
-    return len(elements) // len(_closure(conjugates, len(elements)))
-
-
 def classify_stabilizer(stab, p: ProjectivePoint):
     """Local classification of the quotient singularity at the image of p
     from the list stab of its stabilizer's elements: lattice.SMOOTH, a
@@ -356,20 +346,22 @@ def classify_stabilizer(stab, p: ProjectivePoint):
         t1, t2 = tangent_eigenvalues(generator, p)
         return cyclic_germ(n, int(t1 * n), int(t2 * n))
     gens = _generators(stab)
-    if all(x * y == y * x for x, y in itertools.combinations(gens, 2)):
-        # finite abelian subgroups of SL(2) are cyclic, so this is neither
-        # cyclic nor small: a reflection-laden abelian group
-        return Unsupported(f"non-cyclic abelian stabilizer of order {n} at {p}")
-    # non-abelian: the tangent determinant is a character, so the tangent
+    # the tangent determinant is a character, so the tangent
     # representation lies in SL(2) exactly when the generators' do
     if any(sum(tangent_eigenvalues(g, p)) % 1 for g in gens):
+        if all(x * y == y * x for x, y in itertools.combinations(gens, 2)):
+            return Unsupported(f"non-cyclic abelian stabilizer of order {n} at {p}")
         return Unsupported(f"non-abelian stabilizer with reflections at {p}")
-    # a binary polyhedral group is fixed by |H| and |H^ab| = det(Cartan)
-    ab = _abelianization_order(stab, gens)
+    # finite abelian subgroups of SL(2) are cyclic, so H is binary
+    # polyhedral: binary dihedral of order 4k (D) has an element of order
+    # 2k, the binary tetrahedral, octahedral and icosahedral groups (E6,
+    # E7, E8) have largest orders 6, 8 and 10; the tangent representation
+    # is faithful, so projective orders are tangent orders
+    letter = "D" if any(g.order() == n // 2 for g in stab) else "E"
     for t in types_with_order(n):
-        if cartan_determinant(t) == ab:
+        if t.letter == letter:
             return t
-    return Unsupported(f"unrecognized SL(2) stabilizer: order {n}, ab {ab} at {p}")
+    return Unsupported(f"unrecognized SL(2) stabilizer: order {n} at {p}")
 
 
 # ---------------------------------------------------------------------------

@@ -287,44 +287,6 @@ def rational_roots(coeffs):
 MAX_ROOT_OF_UNITY_ORDER = 24
 
 
-def cyclotomic_factor_roots(coeffs):
-    """Roots of unity appearing as roots: peel off cyclotomic factors Phi_d
-    for d up to MAX_ROOT_OF_UNITY_ORDER."""
-    roots = []
-    for d in range(1, MAX_ROOT_OF_UNITY_ORDER + 1):
-        phi = cyclotomic_polynomial(d)
-        found = False
-        while len(coeffs) >= len(phi):
-            q, r = _poly_divmod(coeffs, phi)
-            if r:
-                break
-            coeffs, found = q, True
-        if found:
-            roots += [CyclotomicNumber.zeta(d, k) for k in range(d) if math.gcd(k, d) == 1]
-    return roots, coeffs
-
-
-def univariate_roots(coeffs):
-    """(roots, leftover) where roots are Fractions or CyclotomicNumbers and
-    leftover is None or a residual-factor description string."""
-    work = _poly_trim([Fraction(c) for c in coeffs])
-    if not work:
-        raise ValueError("zero polynomial")
-    roots = rational_roots(work)
-    for r in roots:
-        while True:
-            q, rem = _poly_divmod(work, [-r, 1])
-            if rem:
-                break
-            work = q
-    extra, work = cyclotomic_factor_roots(work)
-    roots.extend(extra)
-    leftover = None
-    if len(work) > 1:
-        leftover = poly_str({(i,): c for i, c in enumerate(work) if c}, ("t",))
-    return roots, leftover
-
-
 def sylvester_resultant(p, q, var, nvars):
     """Resultant of two multivariate polynomials w.r.t. variable index var.
 
@@ -453,19 +415,28 @@ def _rational(c):
 
 
 def _common_roots(polys):
-    """(nonzero roots, leftovers) of the gcd of rational coefficient lists.  The
-    first list stays as it is when it is alone, so that the roots come in
-    the order its own coefficients give."""
+    """(nonzero roots, leftovers) of the gcd of rational coefficient lists,
+    read off its square-free part: the rational roots in the order of the
+    key (|p|, q, +p/q before -p/q) of p/q in lowest terms, then the roots
+    of unity of order d <= MAX_ROOT_OF_UNITY_ORDER by d.  What is left,
+    square-free, is the leftover."""
     g = polys[0]
     for other in polys[1:]:
         g = _poly_gcd(g, other)
     g = _poly_trim(list(g))
     if not g:
         return [], ["free variable after specialization"]
-    if len(g) == 1:
-        return [], []
-    roots, leftover = univariate_roots(g)
-    return [r for r in roots if r], [leftover] if leftover else []
+    g = _poly_divmod(g, _poly_gcd(g, [i * c for i, c in enumerate(g)][1:]))[0]
+    roots = rational_roots(g)
+    for r in roots:
+        g = _poly_divmod(g, [-r, 1])[0]
+    for d in range(1, MAX_ROOT_OF_UNITY_ORDER + 1):
+        q, rem = _poly_divmod(g, cyclotomic_polynomial(d))
+        if not rem:
+            g = q
+            roots += [CyclotomicNumber.zeta(d, k) for k in range(d) if math.gcd(k, d) == 1]
+    leftover = poly_str({(i,): c for i, c in enumerate(g) if c}, ("t",))
+    return [r for r in roots if r], [leftover] if len(g) > 1 else []
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,38 @@ def test_orders_and_determinants_match_presentations():
         assert math.prod(torsion) == cartan_determinant(t), t
 
 
+def _link_presentation(weights, edges):
+    """Mumford's presentation of pi_1 of the link of a germ whose resolution
+    graph is the tree edges on vertices with self-intersections -weights[v]:
+    a generator e_v per vertex, [e_v, e_w] = 1 on each edge, and e_v^b_v
+    the product of its neighbours, in ascending order."""
+    relators = [(v + 1, w + 1, -v - 1, -w - 1) for v, w in edges]
+    for v, b in enumerate(weights):
+        neighbours = sorted({w for e in edges if v in e for w in e} - {v})
+        relators.append((v + 1,) * b + tuple(-w - 1 for w in reversed(neighbours)))
+    return Presentation(len(weights), tuple(relators))
+
+
+@pytest.mark.parametrize("t", [A(n) for n in range(1, 7)] + [D(n) for n in range(4, 8)]
+                         + [E(n) for n in (6, 7, 8)], ids=str)
+def test_ade_table_matches_link_presentations(t):
+    # the dual graph of the (-2)-curves resolving the germ, read by
+    # Todd-Coxeter: no table in lattice is consulted
+    p = _link_presentation([2] * t.rank, dynkin_edges(t))
+    assert coset_enumerate(p) == local_pi1_order(t)
+    torsion, free_rank = abelianization(p)
+    assert free_rank == 0 and math.prod(torsion) == cartan_determinant(t)
+
+
+@pytest.mark.parametrize("r, q", [(5, 2), (7, 3), (9, 2), (12, 5)])
+def test_hj_chains_give_cyclic_link_groups(r, q):
+    # the chain of 1/r(1, q) is a resolution graph whose link group is Z/r
+    chain = hj_chain(r, q)
+    p = _link_presentation(chain, [(i, i + 1) for i in range(len(chain) - 1)])
+    assert coset_enumerate(p) == r
+    assert abelianization(p) == ([r], 0)
+
+
 def test_types_with_order_inverts_local_pi1_order():
     for n in range(1, 201):
         # every type of order n has rank at most n - 1 (A_{n-1})

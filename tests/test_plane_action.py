@@ -10,15 +10,14 @@ import pytest
 
 from delpezzo.cyclotomic import CyclotomicNumber
 from delpezzo import plane_action
-from delpezzo.lattice import (SMOOTH, A, D, NonGorensteinCyclic, config_str, hj_normalize,
-                              local_noether_terms)
+from delpezzo.lattice import (SMOOTH, A, D, NonGorensteinCyclic, cartan_determinant, config_str,
+                              hj_normalize, local_noether_terms, local_pi1_order)
 from delpezzo.plane_action import (
     ActionError,
     GroupCapExceeded,
     MonomialMatrix,
     ProjectivePoint,
     Unsupported,
-    _abelianization_order,
     _closure,
     _generators,
     _normal,
@@ -343,11 +342,13 @@ class TestClassifyStabilizer:
             classify_stabilizer(_stabilizer(group, p), p)
 
     def test_quaternion_abelianization(self):
-        # Q8 / [Q8, Q8] = Q8 / {+-1} is the Klein four-group
+        # Q8 / [Q8, Q8] = Q8 / {+-1} is the Klein four-group, det(Cartan(D4))
         group = close_group(builtin_actions()["quaternion8"])
-        stab = _stabilizer(group, pt(1, 0, 0))
+        p = pt(1, 0, 0)
+        stab = _stabilizer(group, p)
         assert len(stab) == 8
-        assert _abelianization_order(stab, _generators(stab)) == 4
+        assert classify_stabilizer(stab, p) == D(4)
+        assert _all_pairs_abelianization_order(stab) == cartan_determinant(D(4)) == 4
 
 
 def _all_pairs_abelianization_order(elements):
@@ -358,17 +359,25 @@ def _all_pairs_abelianization_order(elements):
 
 
 def test_stabilizer_generators_against_all_pairs():
-    # greedy generators span the stabilizer, and the abelian verdict, the
-    # SL(2) verdict and |H^ab| read off them agree with the definitions
-    # over all pairs or all elements
+    # greedy generators span the stabilizer, the abelian and SL(2) verdicts
+    # read off them agree with the definitions over all pairs or all
+    # elements, and the type of an SL(2) stabilizer has |H| = local_pi1_order
+    # and |H^ab| = det(Cartan)
     rng = random.Random(1211)
     perms = list(itertools.permutations(range(3)))
-    stabilizers = non_abelian = 0
+    # binary dihedral groups of order 4k <= 24 at [1, 0, 0], D4 ... D8 (order
+    # 24, as E6), come first: the draws below meet no SL(2) stabilizer
+    dihedral = [[mono((0, 1, 2), ("0", f"1/{2 * k}", f"{2 * k - 1}/{2 * k}")),
+                 mono((0, 2, 1), ("0", "0", "1/2"))] for k in range(2, 7)]
+    stabilizers = non_abelian = sl2 = 0
     while stabilizers < 300:
-        m = rng.choice((2, 3, 4, 6))
-        gens = [MonomialMatrix(rng.choice(perms), tuple(Fraction(rng.randrange(m), m)
-                                                        for _ in range(3)))
-                for _ in range(rng.choice((1, 2)))]
+        if dihedral:
+            gens = dihedral.pop()
+        else:
+            m = rng.choice((2, 3, 4, 6))
+            gens = [MonomialMatrix(rng.choice(perms), tuple(Fraction(rng.randrange(m), m)
+                                                            for _ in range(3)))
+                    for _ in range(rng.choice((1, 2)))]
         try:
             group = close_group(gens, cap=24)
         except GroupCapExceeded:
@@ -386,14 +395,16 @@ def test_stabilizer_generators_against_all_pairs():
             assert abelian == all(x * y == y * x for x, y in itertools.combinations(picks, 2))
             non_abelian += not abelian
             if abelian:
-                # every commutator is trivial
-                assert _abelianization_order(stab, picks) == len(stab)
                 continue
-            assert _abelianization_order(stab, picks) == _all_pairs_abelianization_order(stab)
             in_sl2 = all(not sum(tangent_eigenvalues(g, p)) % 1 for g in stab)
+            verdict = classify_stabilizer(stab, p)
             refused = Unsupported(f"non-abelian stabilizer with reflections at {p}")
-            assert (classify_stabilizer(stab, p) == refused) == (not in_sl2)
-    assert non_abelian >= 30, non_abelian
+            assert (verdict == refused) == (not in_sl2)
+            if in_sl2:
+                sl2 += 1
+                assert local_pi1_order(verdict) == len(stab)
+                assert cartan_determinant(verdict) == _all_pairs_abelianization_order(stab)
+    assert non_abelian >= 30 and sl2 >= 5, (non_abelian, sl2)
 
 
 @pytest.mark.parametrize("gens, bound", [

@@ -143,9 +143,10 @@ class TestUnivariate:
         assert set(roots) == {Fraction(1, 2), Fraction(-3)}
 
     def test_cyclotomic_roots(self):
-        # t^2 + t + 1 has the primitive cube roots
-        roots = S.univariate_roots([Fraction(1), Fraction(1), Fraction(1)])
-        assert len(roots) == 2
+        # t^2 + t + 1 has the primitive cube roots, and no leftover
+        roots, leftovers = S._common_roots([[Fraction(1), Fraction(1), Fraction(1)]])
+        assert roots == [S.CyclotomicNumber.zeta(3, 1), S.CyclotomicNumber.zeta(3, 2)]
+        assert leftovers == []
 
     def test_rational_roots_of_large_coefficients(self):
         # (1000 t - 999)(t + 1000003): constant term about -10^9
@@ -269,16 +270,38 @@ def test_univariate_roots_match_sympy():
     rng = random.Random("univariate roots vs sympy")
     for _ in range(10):
         coeffs, rational, orders = _cyclotomic_and_linear_product(rng)
-        roots, leftover = S.univariate_roots(coeffs)
-        assert leftover is None
+        roots, leftovers = S._common_roots([coeffs])
+        assert leftovers == []
         expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
                    for i, c in enumerate(coeffs))
-        expected = [complex(sympy.N(r, 30)) for r in sympy.roots(sympy.Poly(expr, t))]
+        expected = [complex(sympy.N(r, 30)) for r in sympy.roots(sympy.Poly(expr, t)) if r]
         ours = [_complex_value(r) for r in roots]
-        assert len(ours) == len(expected) == len(rational) + sum(
+        assert len(ours) == len(expected) == len(rational - {0}) + sum(
             math.gcd(k, d) == 1 for d in orders for k in range(d))
         for z in ours:
             assert min(abs(z - w) for w in expected) < 1e-9, (coeffs, z)
+
+
+def test_common_roots_read_off_the_square_free_part():
+    # f and f*h^2 have the same roots in the same order, and a leftover
+    # names each factor once: it has gcd 1 with its derivative
+    from delpezzo.cyclotomic import _poly_gcd, _poly_mul
+
+    rng = random.Random("square-free part")
+    for _ in range(20):
+        f, _, _ = _cyclotomic_and_linear_product(rng)
+        roots, leftovers = S._common_roots([f])
+        assert leftovers == []
+        # t^2 + c has the roots +-sqrt(-c): neither rational nor of unity
+        rootless = [Fraction(rng.choice((2, 3, 5, 7))), Fraction(0), Fraction(1)]
+        for h in (f, rootless, _poly_mul(f, rootless)):
+            again, left = S._common_roots([_poly_mul(f, _poly_mul(h, h))])
+            assert again == roots
+            assert len(left) == (0 if h is f else 1)
+            for text in left:
+                coeffs = S._univ_coeffs(S.parse_poly(f"vars t:1\n{text}").terms, 0)
+                derivative = [i * c for i, c in enumerate(coeffs)][1:]
+                assert _poly_gcd(coeffs, derivative) == [1], text
 
 
 def test_sylvester_resultant_matches_sympy():
