@@ -267,11 +267,11 @@ def rational_roots(coeffs):
     coeffs = coeffs[low:]
     if len(coeffs) <= 1:
         return roots
-    # clear denominators -> integer polynomial
-    lcm = 1
-    for c in coeffs:
-        lcm = math.lcm(lcm, c.denominator)
+    # clear denominators and content -> primitive integer polynomial
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
     deg = len(ints) - 1
     # p/q in lowest terms is a root iff sum c_i p^i q^(deg-i) = 0
     for p in _divisors(ints[0]):
@@ -431,7 +431,10 @@ def _common_roots(polys):
     for r in roots:
         g = _poly_divmod(g, [-r, 1])[0]
     for d in range(1, MAX_ROOT_OF_UNITY_ORDER + 1):
-        q, rem = _poly_divmod(g, cyclotomic_polynomial(d))
+        phi = cyclotomic_polynomial(d)
+        if len(phi) > len(g):
+            continue
+        q, rem = _poly_divmod(g, phi)
         if not rem:
             g = q
             roots += [CyclotomicNumber.zeta(d, k) for k in range(d) if math.gcd(k, d) == 1]

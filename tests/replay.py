@@ -14,18 +14,17 @@ The corpus, with repeats dropped:
   forms
 - seeded monomial actions of 1-3 generators for `quotient --action`
 
-Each argv runs through the cli.main of the package under --src, with
-stdout and stderr captured, under a CPU-time limit: past it the argv is
-recorded as over the limit, with no output.  --src is written as <src> in
-stderr, so that tracebacks of two trees compare.  Not a test module;
-pytest does not collect it.
+Each argv runs through the cli.main of the package under --src by the
+benchmark's in-process runner, with stdout and stderr captured, under
+CPU_LIMIT_S seconds of CPU: past it the argv is recorded as over the
+limit, with no output.  --src is written as <src> in stderr, so that
+tracebacks of two trees compare.  --compare prints the first SHOW
+differing argvs.  Not a test module; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import itertools
 import json
 import random
@@ -43,6 +42,8 @@ from bench import gen  # noqa: E402
 FORM_WEIGHTS = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 2))
 RANDOM_WEIGHTS = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 1, 1), (1, 1, 2, 3), (1, 1, 1, 2))
 MODULI = (2, 3, 4, 5, 6, 8, 12)
+CPU_LIMIT_S = 4.0
+SHOW = 10
 
 
 def _random_form(rng, weights, d, size):
@@ -108,34 +109,33 @@ def corpus():
 
 
 class CpuLimit(BaseException):
-    """Raised from the profiling timer: a BaseException, so that cli.main's
-    catch-all does not report it as an internal error."""
+    """Raised from the profiling timer: a BaseException, so that neither
+    cli.main's catch-all nor the runner's reports it as an error."""
 
 
 def _on_limit(signum, frame):
     raise CpuLimit
 
 
-def replay(src, limit):
-    sys.path.insert(0, str(Path(src).resolve()))
-    from delpezzo import cli
+def replay(src):
+    src = str(Path(src).resolve())
+    sys.path.insert(0, src)
+    from bench.run import InProcess
 
+    runner = InProcess()
     signal.signal(signal.SIGPROF, _on_limit)
     results = []
     for argv in corpus():
-        out, err = io.StringIO(), io.StringIO()
         start = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                signal.setitimer(signal.ITIMER_PROF, limit)
-                try:
-                    rc = cli.main(list(argv))
-                finally:
-                    signal.setitimer(signal.ITIMER_PROF, 0)
-            record = {"rc": rc, "stdout": out.getvalue(),
-                      "stderr": err.getvalue().replace(str(Path(src).resolve()), "<src>")}
+            res = runner.run(argv)[0]
+            record = {"rc": res.rc, "stdout": res.stdout,
+                      "stderr": res.stderr.replace(src, "<src>"), "error": res.error}
         except CpuLimit:
-            record = {"cpu_limit": limit}
+            record = {"cpu_limit": CPU_LIMIT_S}
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
         record["cpu_s"] = round(time.process_time() - start, 4)
         results.append({"argv": list(argv), **record})
     return results
@@ -145,7 +145,7 @@ def _outcome(record):
     return {k: v for k, v in record.items() if k not in ("argv", "cpu_s")}
 
 
-def compare(a, b, show):
+def compare(a, b):
     left = {tuple(r["argv"]): r for r in a}
     right = {tuple(r["argv"]): r for r in b}
     shared = [argv for argv in left if argv in right]
@@ -159,7 +159,7 @@ def compare(a, b, show):
     print(f"CPU on argvs under the limit on both: "
           f"{sum(left[v]['cpu_s'] for v in shared if v not in both_limit):.1f} s and "
           f"{sum(right[v]['cpu_s'] for v in shared if v not in both_limit):.1f} s")
-    for argv in differ[:show]:
+    for argv in differ[:SHOW]:
         print(json.dumps(list(argv)))
         for side in (left, right):
             print("   ", json.dumps(_outcome(side[argv]))[:400])
@@ -169,17 +169,15 @@ def compare(a, b, show):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--src", help="the src/ directory whose delpezzo package runs")
-    parser.add_argument("--limit", type=float, default=4.0, help="CPU seconds per argv")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two replay files")
-    parser.add_argument("--show", type=int, default=10, help="differing argvs to print")
     parser.add_argument("out", nargs="?", help="where to write the replay")
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        return compare(a, b, args.show)
+        return compare(a, b)
     if not (args.src and args.out):
         parser.error("give --src DIR OUT.json, or --compare A.json B.json")
-    results = replay(args.src, args.limit)
+    results = replay(args.src)
     Path(args.out).write_text(json.dumps(results, indent=0) + "\n")
     print(f"{len(results)} argvs, {sum('cpu_limit' in r for r in results)} over the CPU limit")
     return 0

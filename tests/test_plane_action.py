@@ -366,11 +366,13 @@ def test_stabilizer_generators_against_all_pairs():
     rng = random.Random(1211)
     perms = list(itertools.permutations(range(3)))
     # binary dihedral groups of order 4k <= 24 at [1, 0, 0], D4 ... D8 (order
-    # 24, as E6), come first: the draws below meet no SL(2) stabilizer
+    # 24, as E6), come first: the draws below meet no SL(2) stabilizer.  Only
+    # the draws count toward the 300 stabilizers and the non-abelian floor
     dihedral = [[mono((0, 1, 2), ("0", f"1/{2 * k}", f"{2 * k - 1}/{2 * k}")),
                  mono((0, 2, 1), ("0", "0", "1/2"))] for k in range(2, 7)]
     stabilizers = non_abelian = sl2 = 0
     while stabilizers < 300:
+        seeded = not dihedral
         if dihedral:
             gens = dihedral.pop()
         else:
@@ -388,12 +390,12 @@ def test_stabilizer_generators_against_all_pairs():
             if frozenset(stab) in seen:
                 continue
             seen.add(frozenset(stab))
-            stabilizers += 1
+            stabilizers += seeded
             picks = _generators(stab)
             assert _closure(picks, len(stab)) == set(stab)
             abelian = all(x * y == y * x for x, y in itertools.combinations(stab, 2))
             assert abelian == all(x * y == y * x for x, y in itertools.combinations(picks, 2))
-            non_abelian += not abelian
+            non_abelian += seeded and not abelian
             if abelian:
                 continue
             in_sl2 = all(not sum(tangent_eigenvalues(g, p)) % 1 for g in stab)

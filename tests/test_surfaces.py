@@ -156,6 +156,13 @@ class TestUnivariate:
         assert time.perf_counter() - start < 0.5
         assert roots == [Fraction(999, 1000), Fraction(-1000003)]
         assert S.rational_roots([-10**7, 0, 10**4]) == []
+        # p (2t - 1)(t + 3) for a prime p near 10^14: the content plays no
+        # part, and walking its divisors up to sqrt(p) would take seconds
+        p = 100000000000031
+        start = time.perf_counter()
+        roots = S.rational_roots([Fraction(-3 * p), Fraction(5 * p), Fraction(2 * p)])
+        assert time.perf_counter() - start < 0.5
+        assert roots == [Fraction(1, 2), Fraction(-3)]
 
     def test_rational_roots_in_divisor_order(self):
         # the order of the roots sets the order of the singular points that
