@@ -65,7 +65,7 @@ def _poly_divmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b) and a:
-        lead = Fraction(a[-1], 1) / Fraction(b[-1], 1)
+        lead = a[-1] if b[-1] == 1 else Fraction(a[-1]) / b[-1]
         deg = len(a) - len(b)
         q[deg] = lead
         for i, bi in enumerate(b):
@@ -103,19 +103,9 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 def _reduce_mod_phi(coeffs, m):
     """Reduce a power-basis coefficient list modulo Phi_m."""
-    phi = list(cyclotomic_polynomial(m))
-    deg = len(phi) - 1
-    c = [Fraction(x) for x in coeffs]
-    _poly_trim(c)
-    while len(c) > deg:
-        lead = c[-1]
-        shift = len(c) - 1 - deg
-        for i, pi in enumerate(phi):
-            if pi:
-                c[shift + i] -= lead * pi
-        _poly_trim(c)
-    c += [Fraction(0)] * (deg - len(c))
-    return tuple(c)
+    phi = cyclotomic_polynomial(m)
+    c = _poly_divmod([Fraction(x) for x in coeffs], phi)[1]
+    return tuple(c + [Fraction(0)] * (len(phi) - 1 - len(c)))
 
 
 # ---------------------------------------------------------------------------

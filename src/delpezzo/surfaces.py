@@ -10,6 +10,7 @@ the output is exact whenever it is not Indeterminate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -33,7 +34,7 @@ def poly_clean(terms):
 def poly_add(a, b):
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
+        out[e] = out.get(e, 0) + c
     return poly_clean(out)
 
 
@@ -46,7 +47,7 @@ def poly_mul(a, b):
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            out[e] = out.get(e, 0) + ca * cb
     return poly_clean(out)
 
 
@@ -60,26 +61,33 @@ def poly_diff(a, i):
     return poly_clean(out)
 
 
-def poly_substitute(a, i, value):
-    """Substitute a rational or cyclotomic value for variable i.
-
-    Returns a polynomial in the remaining variables (variable i dropped);
-    coefficients become cyclotomic when the value is.
-    """
-    out = {}
-    for e, c in a.items():
-        if e[i]:
-            c = c * value ** e[i]
-        ne = e[:i] + e[i + 1:]
-        out[ne] = out[ne] + c if ne in out else c
-    return poly_clean(out)
+def poly_div(a, b):
+    """a / b for integer polynomials, b dividing a exactly: each step cancels
+    the lex-leading term of what is left by an integer term of the quotient."""
+    lead = max(b)
+    a, q = dict(a), {}
+    while a:
+        top = max(a)
+        e = tuple(x - y for x, y in zip(top, lead))
+        q[e] = c = a[top] // b[lead]
+        for eb, cb in b.items():
+            k = tuple(x + y for x, y in zip(e, eb))
+            a[k] = a.get(k, 0) - c * cb
+            if not a[k]:
+                del a[k]
+    return q
 
 
 def poly_specialize(a, values):
     """Substitute values[i] for each variable i in values, dropping them."""
-    for i in sorted(values, reverse=True):
-        a = poly_substitute(a, i, values[i])
-    return a
+    out = {}
+    for e, c in a.items():
+        for i, v in values.items():
+            if e[i]:
+                c = c * v ** e[i]
+        ne = tuple(x for i, x in enumerate(e) if i not in values)
+        out[ne] = out[ne] + c if ne in out else c
+    return poly_clean(out)
 
 
 def poly_str(a, names):
@@ -288,52 +296,49 @@ MAX_ROOT_OF_UNITY_ORDER = 24
 
 
 def sylvester_resultant(p, q, var, nvars):
-    """Resultant of two multivariate polynomials w.r.t. variable index var.
-
-    Entries of the Sylvester matrix are polynomials in the remaining
-    variables; the determinant is expanded exactly.  When one polynomial
-    is constant in var the matrix is diagonal, so the resultant is that
-    constant to the other's degree; when both are, the matrix is empty and
-    the resultant is 1, unless one of them is zero."""
+    """Resultant of two multivariate polynomials w.r.t. variable index var:
+    the determinant of their Sylvester matrix, a polynomial in the other
+    variables, by the subresultant PRS (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 3.3.7) on integer coefficients,
+    where its divisions are exact.  It is 0 when one polynomial is zero and
+    1 for two nonzero constants."""
     def coeffs_in(poly):
-        deg = max((e[var] for e in poly), default=0)
+        deg = max((e[var] for e in poly), default=-1)
+        lcm = math.lcm(*(c.denominator for c in poly.values()))
         out = [{} for _ in range(deg + 1)]
         for e, c in poly.items():
-            out[e[var]][e[:var] + (0,) + e[var + 1:]] = c
-        return out
+            out[e[var]][e[:var] + (0,) + e[var + 1:]] = c.numerator * (lcm // c.denominator)
+        return out, lcm
 
-    a = coeffs_in(p)
-    b = coeffs_in(q)
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    if size == 0:
-        return {(0,) * nvars: Fraction(1)} if p and q else {}
-    matrix = [[{} for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(reversed(a)):
-            matrix[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(reversed(b)):
-            matrix[n + i][i + j] = c
-    return _poly_det(matrix)
+    def power(x, k):
+        return functools.reduce(poly_mul, [x] * k) if k else one
 
-
-def _poly_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    # Laplace expansion along the first row (sizes stay small here)
-    total = {}
-    for j in range(n):
-        entry = matrix[0][j]
-        if not entry:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = poly_mul(entry, _poly_det(minor))
-        if j % 2:
-            term = poly_scale(term, Fraction(-1))
-        total = poly_add(total, term)
-    return total
+    (a, la), (b, lb) = coeffs_in(p), coeffs_in(q)
+    # Res(la * p, lb * q) = la^deg(q) * lb^deg(p) * Res(p, q)
+    scale = Fraction(la) ** (1 - len(b)) * Fraction(lb) ** (1 - len(a))
+    if len(a) < len(b):
+        a, b = b, a
+        scale *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = one = {(0,) * nvars: 1}
+    while b:
+        delta = len(a) - len(b)
+        # h^(1 - delta) * lc(b)^delta: the next h, and the resultant once b is constant
+        next_h = poly_div(power(b[-1], delta), power(h, delta - 1)) if delta else h
+        if len(b) == 1:
+            return poly_scale(next_h, scale)
+        scale *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        # pseudo-remainder: lc(b)^(delta + 1) * a reduced by b
+        r = a[:]
+        for k in range(delta, -1, -1):
+            top = r.pop()
+            r = [poly_mul(c, b[-1]) for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[k + i] = poly_add(r[k + i], poly_scale(poly_mul(top, c), -1))
+        while r and not r[-1]:
+            r.pop()
+        divisor = poly_mul(g, power(h, delta))
+        a, b, g, h = b, [poly_div(c, divisor) for c in r], b[-1], next_h
+    return {}
 
 
 def solve_system(equations, nvars):
@@ -378,7 +383,7 @@ def solve_system(equations, nvars):
         return [], [UNDERDETERMINED]
     # var does not occur in eliminated, so the value substituted is immaterial
     sub_sols, leftovers = solve_system(
-        [poly_substitute(e, var, 0) for e in eliminated], nvars - 1)
+        [poly_specialize(e, {var: 0}) for e in eliminated], nvars - 1)
 
     others = [i for i in range(nvars) if i != var]
     solutions = []
@@ -438,7 +443,7 @@ def _common_roots(polys):
         if not rem:
             g = q
             roots += [CyclotomicNumber.zeta(d, k) for k in range(d) if math.gcd(k, d) == 1]
-    leftover = poly_str({(i,): c for i, c in enumerate(g) if c}, ("t",))
+    leftover = poly_str({(i,): c / g[-1] for i, c in enumerate(g) if c}, ("t",))
     return [r for r in roots if r], [leftover] if len(g) > 1 else []
 
 

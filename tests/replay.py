@@ -18,8 +18,10 @@ Each argv runs through the cli.main of the package under --src by the
 benchmark's in-process runner, with stdout and stderr captured, under
 CPU_LIMIT_S seconds of CPU: past it the argv is recorded as over the
 limit, with no output.  --src is written as <src> in stderr, so that
-tracebacks of two trees compare.  --compare prints the first SHOW
-differing argvs.  Not a test module; pytest does not collect it.
+tracebacks of two trees compare.  --compare counts the argvs over the
+limit on one side only, sums the CPU of those that finish on both, and
+prints the first SHOW differing argvs.  Not a test module; pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -150,15 +152,17 @@ def compare(a, b):
     right = {tuple(r["argv"]): r for r in b}
     shared = [argv for argv in left if argv in right]
     differ = [argv for argv in shared if _outcome(left[argv]) != _outcome(right[argv])]
-    both_limit = [argv for argv in shared
-                  if "cpu_limit" in left[argv] and "cpu_limit" in right[argv]]
+    over = [{argv for argv in shared if "cpu_limit" in side[argv]} for side in (left, right)]
+    finished = [argv for argv in shared if argv not in over[0] | over[1]]
     print(f"argvs: {len(left)} and {len(right)}, {len(shared)} in both")
-    print(f"identical: {len(shared) - len(differ)} ({len(both_limit)} of them over the "
-          f"CPU limit on both)")
+    print(f"identical: {len(shared) - len(differ)} ({len(over[0] & over[1])} of them over "
+          f"the CPU limit on both)")
     print(f"differing: {len(differ)}")
-    print(f"CPU on argvs under the limit on both: "
-          f"{sum(left[v]['cpu_s'] for v in shared if v not in both_limit):.1f} s and "
-          f"{sum(right[v]['cpu_s'] for v in shared if v not in both_limit):.1f} s")
+    print(f"over the CPU limit on one side only: {len(over[0] - over[1])} and "
+          f"{len(over[1] - over[0])}")
+    print(f"CPU on the {len(finished)} argvs that finish on both: "
+          f"{sum(left[v]['cpu_s'] for v in finished):.1f} s and "
+          f"{sum(right[v]['cpu_s'] for v in finished):.1f} s")
     for argv in differ[:SHOW]:
         print(json.dumps(list(argv)))
         for side in (left, right):

@@ -147,16 +147,16 @@ def test_criterion_6_za_verification():
             pts = S.cone_singular_points(f)
             assert [[str(c) for c in p] for p in pts] == [["0", "1", "0", "0"]]
             # boundary curve {X = 0} in chart Y = 1: a cusp at the origin
-            bx = S.poly_substitute(f.terms, 0, Fraction(0))
-            germ = S.poly_substitute(bx, 0, Fraction(1))
+            bx = S.poly_specialize(f.terms, {0: Fraction(0)})
+            germ = S.poly_specialize(bx, {0: Fraction(1)})
             assert S.germ_classify(germ, (Fraction(0), Fraction(0))) == S.GERM_CUSP
             # the curve {Y = 0} in weighted (X, Z, W) coordinates
-            by = S.poly_substitute(f.terms, 1, Fraction(0))
+            by = S.poly_specialize(f.terms, {1: Fraction(0)})
             curve = S.WeightedPoly(["X", "Z", "W"], [1, 2, 3], by)
             sing = S.cone_singular_points(curve)
             if a == 0:
                 assert [[str(c) for c in p] for p in sing] == [["1", "0", "0"]]
-                germ = S.poly_substitute(curve.terms, 0, Fraction(1))
+                germ = S.poly_specialize(curve.terms, {0: Fraction(1)})
                 assert S.germ_classify(germ, (Fraction(0), Fraction(0))) == S.GERM_CUSP
             else:
                 assert sing == []

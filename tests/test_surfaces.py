@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import signal
 import time
 from fractions import Fraction
 
@@ -314,15 +315,16 @@ def test_common_roots_read_off_the_square_free_part():
 def test_sylvester_resultant_matches_sympy():
     import sympy
 
+    # up to degree 6 in the eliminated x: Sylvester matrices up to 12 x 12
     names = sympy.symbols("x y z")
     rng = random.Random("resultant vs sympy")
 
     def random_poly():
         terms = {}
-        for _ in range(rng.randint(2, 4)):
-            e = (rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 1))
+        for _ in range(rng.randint(2, 5)):
+            e = (rng.randint(0, 6), rng.randint(0, 2), rng.randint(0, 1))
             terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        terms[(rng.randint(1, 3), 0, 0)] = Fraction(rng.choice([-2, -1, 1, 3]))
+        terms[(rng.randint(1, 6), 0, 0)] = Fraction(rng.choice([-2, -1, 1, 3]))
         return S.poly_clean(terms)
 
     def expr(poly):
@@ -330,12 +332,15 @@ def test_sylvester_resultant_matches_sympy():
                    * sympy.Mul(*(v ** k for v, k in zip(names, e)))
                    for e, c in poly.items())
 
+    sextic_pairs = 0
     for _ in range(15):
         p, q = random_poly(), random_poly()
         ours = S.sylvester_resultant(p, q, 0, 3)
         assert all(e[0] == 0 for e in ours)
         expected = sympy.resultant(expr(p), expr(q), names[0])
         assert sympy.expand(expr(ours) - expected) == 0, (p, q)
+        sextic_pairs += bool(ours) and max(p)[0] == max(q)[0] == 6
+    assert sextic_pairs >= 2
 
 
 def test_sylvester_resultant_with_a_constant_matches_sympy():
@@ -372,6 +377,23 @@ def test_sylvester_resultant_of_two_constants_matches_sympy():
         expected = sympy.resultant(p_expr, q_expr, x)
         ours = S.sylvester_resultant(p, q, 0, nvars)
         assert ours == ({(0,) * nvars: expected} if expected else {}), (p, q)
+
+
+def test_resultants_of_the_sextic_in_four_variables_finish_under_a_cpu_alarm():
+    # its Sylvester matrices are large enough that expanding them by minors
+    # takes more than 20 s of CPU; the subresultant PRS takes under a second
+    def over(signum, frame):
+        raise TimeoutError("more than 10 s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, 10)
+    try:
+        out = S.cone_singular_points(parse("vars X:1 Y:1 Z:1 W:1\n"
+                                           "3*Z^6 - 2*X*Y*Z*W^3 + 2*X*Y^3*Z^2 + 3/2*X^4*Y^2"))
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    assert out.factors == ["t^5 + 3087/4", S.UNDERDETERMINED]
 
 
 def test_jet3_matches_sympy():
