@@ -76,10 +76,11 @@ def _poly_divmod(a, b):
 
 
 def _poly_gcd(a, b):
-    """Monic gcd over Q; [] when both are zero."""
+    """Monic gcd over Q, by monic remainders; [] when both are zero."""
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
         a, b = b, _poly_divmod(a, b)[1]
+        b = [Fraction(c) / b[-1] for c in b]
     return [Fraction(c) / a[-1] for c in a]
 
 

@@ -311,7 +311,6 @@ def recognize_dynkin(c: CurveConfig):
             return NotADE(
                 f"curve {c.labels[i]!r} has self-intersection {c.matrix[i][i]}, not -2")
     adj = {i: [] for i in range(n)}
-    edge_count = 0
     for i in range(n):
         for j in range(i + 1, n):
             if c.matrix[i][j] > 1:
@@ -319,20 +318,22 @@ def recognize_dynkin(c: CurveConfig):
             if c.matrix[i][j] == 1:
                 adj[i].append(j)
                 adj[j].append(i)
-                edge_count += 1
-    # connectivity
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) < n:
+
+    def reach(start, removed):
+        """The number of vertices reached from start, not passing removed."""
+        seen, stack = {start, removed}, [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        return len(seen) - 1
+
+    if reach(0, -1) < n:
         return NotADE("disconnected")
-    if edge_count != n - 1:
-        return NotADE("contains a cycle")
     degrees = [len(adj[i]) for i in range(n)]
+    if sum(degrees) != 2 * (n - 1):
+        return NotADE("contains a cycle")
     if max(degrees) > 3:
         return NotADE("branch vertex of degree > 3")
     branches = [i for i in range(n) if degrees[i] == 3]
@@ -340,18 +341,8 @@ def recognize_dynkin(c: CurveConfig):
         return NotADE("more than one branch vertex")
     if not branches:
         return A(n)
-    # arm lengths from the unique branch vertex
-    b = branches[0]
-    arms = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while degrees[cur] == 2:
-            nxt = [x for x in adj[cur] if x != prev][0]
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
+    # in a tree, the arms are the parts the unique branch vertex splits it into
+    arms = sorted(reach(start, branches[0]) for start in adj[branches[0]])
     a1, a2, a3 = arms
     if a1 == 1 and a2 == 1:
         return D(a3 + 3)

@@ -358,10 +358,7 @@ def classify_stabilizer(stab, p: ProjectivePoint):
     # E7, E8) have largest orders 6, 8 and 10; the tangent representation
     # is faithful, so projective orders are tangent orders
     letter = "D" if any(g.order() == n // 2 for g in stab) else "E"
-    for t in types_with_order(n):
-        if t.letter == letter:
-            return t
-    return Unsupported(f"unrecognized SL(2) stabilizer: order {n} at {p}")
+    return next(t for t in types_with_order(n) if t.letter == letter)
 
 
 # ---------------------------------------------------------------------------

@@ -370,17 +370,12 @@ def solve_system(equations, nvars):
             return [], leftovers + [UNDERDETERMINED]
         return [(r,) for r in roots], leftovers
 
-    # eliminate var by resultants against the first equation that has it
-    if len(with_var) >= 2:
-        eliminated = without + [sylvester_resultant(with_var[0], other, var, nvars)
-                                for other in with_var[1:]]
-        if not any(eliminated):
-            return [], ["resultants all vanished (shared factor)"]
-    elif without:
-        eliminated = without
-    else:
-        # single equation in several variables: positive-dimensional
-        return [], [UNDERDETERMINED]
+    # eliminate var by resultants against the first equation that has it;
+    # with nothing left, the recursion answers UNDERDETERMINED
+    eliminated = without + [sylvester_resultant(with_var[0], other, var, nvars)
+                            for other in with_var[1:]]
+    if len(with_var) >= 2 and not any(eliminated):
+        return [], ["resultants all vanished (shared factor)"]
     # var does not occur in eliminated, so the value substituted is immaterial
     sub_sols, leftovers = solve_system(
         [poly_specialize(e, {var: 0}) for e in eliminated], nvars - 1)
@@ -389,8 +384,7 @@ def solve_system(equations, nvars):
     solutions = []
     for partial in sub_sols:
         values = dict(zip(others, partial))
-        coeffs = [[_rational(c) for c in _univ_coeffs(poly_specialize(eq, values), 0)]
-                  for eq in with_var]
+        coeffs = [_univ_coeffs(poly_specialize(eq, values), 0) for eq in with_var]
         if any(c is None for cs in coeffs for c in cs):
             leftovers.append("irrational specialization")
             continue
@@ -406,17 +400,13 @@ def solve_system(equations, nvars):
 
 def _univ_coeffs(eq, var):
     """Coefficient list, low degree first, of eq in which only variable var
-    occurs; [0] for the zero polynomial."""
+    occurs; [0] for the zero polynomial.  Each coefficient is read as a
+    Fraction, or None for an irrational cyclotomic number: the one place
+    where the solver leaves Q."""
     out = [Fraction(0)] * (max((e[var] for e in eq), default=0) + 1)
     for e, c in eq.items():
-        out[e[var]] = c
+        out[e[var]] = c.as_rational() if isinstance(c, CyclotomicNumber) else c
     return out
-
-
-def _rational(c):
-    """c as a Fraction, or None for an irrational cyclotomic number: the
-    one place where the solver leaves Q."""
-    return c.as_rational() if isinstance(c, CyclotomicNumber) else c
 
 
 def _common_roots(polys):

@@ -19,9 +19,11 @@ benchmark's in-process runner, with stdout and stderr captured, under
 CPU_LIMIT_S seconds of CPU: past it the argv is recorded as over the
 limit, with no output.  --src is written as <src> in stderr, so that
 tracebacks of two trees compare.  --compare counts the argvs over the
-limit on one side only, sums the CPU of those that finish on both, and
-prints the first SHOW differing argvs.  Not a test module; pytest does
-not collect it.
+limit on one side only and prints each with the CPU of the side that
+finished it, so that a fix reads apart from a run that ends near the
+limit; it sums the CPU of the argvs that finish on both, and prints the
+first SHOW differing argvs.  Not a test module; pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -160,6 +162,9 @@ def compare(a, b):
     print(f"differing: {len(differ)}")
     print(f"over the CPU limit on one side only: {len(over[0] - over[1])} and "
           f"{len(over[1] - over[0])}")
+    for argv in (v for v in shared if v in over[0] ^ over[1]):
+        name, done = ("B", right) if argv in over[0] else ("A", left)
+        print(f"    {name} finishes in {done[argv]['cpu_s']:.2f} s: {json.dumps(list(argv))}")
     print(f"CPU on the {len(finished)} argvs that finish on both: "
           f"{sum(left[v]['cpu_s'] for v in finished):.1f} s and "
           f"{sum(right[v]['cpu_s'] for v in finished):.1f} s")

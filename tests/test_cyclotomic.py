@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,23 @@ def test_poly_gcd_is_monic():
     assert _poly_gcd(a, []) == [-2, 1, 1]
     assert _poly_gcd([Fraction(0)], [Fraction(2), Fraction(4)]) == [Fraction(1, 2), 1]
     assert _poly_gcd([], [0, 0]) == []
+    # seeded pairs p*h and q*h of degree <= 12 against sympy's gcd made monic
+    import sympy
+
+    x = sympy.symbols("x")
+    rng = random.Random("poly gcd vs sympy")
+
+    def draw(degree):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree)]
+        return sympy.Poly([Fraction(rng.choice([-3, -1, 1, 2, 7]))] + coeffs, x, domain="QQ")
+
+    def fractions(poly):
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+    for _ in range(40):
+        h = draw(rng.randint(0, 6))
+        a, b = draw(rng.randint(0, 12 - h.degree())) * h, draw(rng.randint(0, 12 - h.degree())) * h
+        assert _poly_gcd(fractions(a), fractions(b)) == fractions(a.gcd(b).monic()), (a, b)
 
 
 class TestCyclotomicNumber:

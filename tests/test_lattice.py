@@ -298,18 +298,43 @@ def test_recognize_round_trip():
         assert recognize_dynkin(dynkin_curve_config(t)) == t
 
 
+def _graph(n, edges):
+    """n (-2)-curves c0, c1, ..., two of them meeting once along each edge."""
+    m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = 1
+    return CurveConfig([f"c{i}" for i in range(n)], m)
+
+
+def _tree(arms):
+    """The tree whose branch vertex c0 has arms of the given lengths."""
+    edges, start = [], 1
+    for length in arms:
+        edges += zip([0] + list(range(start, start + length - 1)), range(start, start + length))
+        start += length
+    return _graph(start, edges)
+
+
 def test_recognize_rejections():
-    # a cycle of three (-2)-curves
-    m = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
-    r = recognize_dynkin(CurveConfig(["a", "b", "c"], m))
-    assert isinstance(r, NotADE) and "cycle" in r.reason
-    # wrong self-intersection
-    r = recognize_dynkin(CurveConfig(["a"], [[-1]]))
-    assert isinstance(r, NotADE)
-    # disconnected
-    m = [[-2, 0], [0, -2]]
-    r = recognize_dynkin(CurveConfig(["a", "b"], m))
-    assert isinstance(r, NotADE) and "disconnected" in r.reason
+    def reason(c):
+        r = recognize_dynkin(c)
+        assert isinstance(r, NotADE), r
+        return r.reason
+
+    assert reason(CurveConfig([], [])) == "empty configuration"
+    assert reason(CurveConfig(["a"], [[-1]])) == "curve 'a' has self-intersection -1, not -2"
+    assert reason(CurveConfig(["a", "b"], [[-2, 2], [2, -2]])) == (
+        "multiple edge between 'a' and 'b'")
+    assert reason(_graph(2, [])) == "disconnected"
+    assert reason(_graph(3, [(0, 1), (1, 2), (0, 2)])) == "contains a cycle"
+    assert reason(_tree([1, 1, 1, 1])) == "branch vertex of degree > 3"
+    assert reason(_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])) == (
+        "more than one branch vertex")
+    for arms in ([2, 2, 2], [1, 3, 3], [1, 2, 5]):
+        assert reason(_tree(arms)) == f"branch arms {arms} are not an ADE shape"
+    # the same builder gives the ADE shapes
+    assert recognize_dynkin(_tree([1, 1, 4])) == D(7)
+    assert recognize_dynkin(_tree([1, 2, 4])) == E(8)
 
 
 def test_blow_down_rule():

@@ -198,6 +198,11 @@ class TestSolveSystem:
         eqs = [{(2, 0): Fraction(1), (1, 0): Fraction(-5), (0, 0): Fraction(6)}]
         assert S.solve_system(eqs, 2) == ([], [S.UNDERDETERMINED])
 
+    def test_one_equation_in_two_variables_is_underdetermined(self):
+        # X*Y = 1: nothing is left once Y is eliminated
+        eqs = [{(1, 1): Fraction(1), (0, 0): Fraction(-1)}]
+        assert S.solve_system(eqs, 2) == ([], [S.UNDERDETERMINED])
+
     def test_finite_solutions(self):
         # X = Y^2 and Y^2 = 4
         eqs = [{(1, 0): Fraction(1), (0, 2): Fraction(-1)},
@@ -379,21 +384,36 @@ def test_sylvester_resultant_of_two_constants_matches_sympy():
         assert ours == ({(0,) * nvars: expected} if expected else {}), (p, q)
 
 
-def test_resultants_of_the_sextic_in_four_variables_finish_under_a_cpu_alarm():
-    # its Sylvester matrices are large enough that expanding them by minors
-    # takes more than 20 s of CPU; the subresultant PRS takes under a second
+def _singular_points_under_a_cpu_alarm(text):
+    """cone_singular_points of the parsed text, or TimeoutError past 10 s
+    of CPU."""
     def over(signum, frame):
         raise TimeoutError("more than 10 s of CPU")
 
     previous = signal.signal(signal.SIGPROF, over)
     signal.setitimer(signal.ITIMER_PROF, 10)
     try:
-        out = S.cone_singular_points(parse("vars X:1 Y:1 Z:1 W:1\n"
-                                           "3*Z^6 - 2*X*Y*Z*W^3 + 2*X*Y^3*Z^2 + 3/2*X^4*Y^2"))
+        return S.cone_singular_points(parse(text))
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
+
+
+def test_resultants_of_the_sextic_in_four_variables_finish_under_a_cpu_alarm():
+    # its Sylvester matrices are large enough that expanding them by minors
+    # takes more than 20 s of CPU; the subresultant PRS takes under a second
+    out = _singular_points_under_a_cpu_alarm(
+        "vars X:1 Y:1 Z:1 W:1\n3*Z^6 - 2*X*Y*Z*W^3 + 2*X*Y^3*Z^2 + 3/2*X^4*Y^2")
     assert out.factors == ["t^5 + 3087/4", S.UNDERDETERMINED]
+
+
+def test_gcd_of_two_resultants_finishes_under_a_cpu_alarm():
+    # the last univariate step takes the gcd of two resultants of degree 89
+    # and 85: a Euclid over Q whose remainders are not made monic grows its
+    # Fraction coefficients past 10 s of CPU; monic remainders take under 1 s
+    out = _singular_points_under_a_cpu_alarm(
+        "vars X:1 Y:1 Z:1 W:2\n-2*X^10*Y^2 + 3*X^3*Y*Z^8 + 2*X*Y^10*Z - X*Y^8*Z^3")
+    assert out.factors == ["t^2 - 2", S.UNDERDETERMINED]
 
 
 def test_jet3_matches_sympy():
