@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .lattice import (DynkinType, all_types, config_rank, config_sorted,
                       config_str, local_pi1_order, parse_config, types_with_order)
@@ -338,7 +337,9 @@ RAMIFICATION_DELTA_MAX = 4
 
 
 def ramification_constraints(d: int) -> dict:
-    """Branch data {(e_i, delta_i)} feasible under sum((e-1)/e)*delta < 1.
+    """Branch data {(e_i, delta_i)} feasible under sum((e-1)/e)*delta < 1,
+    decided in integers: sum((e-1)*delta*(D/e)) < D for D the product of
+    the e_i.
 
     Searching all multisets within the bounds, only the empty set and the
     singletons (e, 1) survive -- so any branch curve is irreducible."""
@@ -349,8 +350,8 @@ def ramification_constraints(d: int) -> dict:
     feasible = [[]]
     for size in (1, 2):
         for combo in itertools.combinations_with_replacement(pairs, size):
-            total = sum(Fraction(e - 1, e) * delta for e, delta in combo)
-            if total < 1:
+            d_all = math.prod(e for e, _ in combo)
+            if sum((e - 1) * delta * (d_all // e) for e, delta in combo) < d_all:
                 feasible.append(list(combo))
     singletons_only = all(len(c) <= 1 and (not c or c[0][1] == 1)
                           for c in feasible)

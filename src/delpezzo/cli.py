@@ -10,12 +10,17 @@ with its traceback on stderr.
 Each subcommand imports the library modules it uses, so a process pays
 only for the modules its subcommand needs.  No library module imports
 dataclasses, typing or inspect, and `fractions` is imported where a
-rational is parsed, so `group` and `mumford` never load it.
+rational is parsed or computed, so `group`, `mumford`, `report`,
+`lemma1`, `classify`, `recognize` and `blowdown` never load it.
+
+A process enters at run(), which exits without tearing the interpreter
+down; main(argv) is the in-process API.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -386,5 +391,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry point: main() on sys.argv, then an exit that skips
+    the interpreter's teardown (a fifth of a short process).  The exit
+    handlers run and the output is flushed first, as at a normal exit; if
+    a flush fails (a closed pipe or fd), sys.exit exits as it always did."""
+    rc = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):      # None, broken or closed
+        sys.exit(rc)
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 
 class DynkinType(namedtuple("DynkinType", "letter rank")):
@@ -178,6 +177,8 @@ def local_noether_terms(germ):
     r/q = [b_1, ..., b_l] and q q' = 1 mod r, the closed form is
     c = (q + q' + 2)/r - 2 + sum_i (b_i - 2).
     """
+    from fractions import Fraction
+
     if germ == SMOOTH:
         return (0, 0)
     if isinstance(germ, DynkinType):

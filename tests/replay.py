@@ -3,6 +3,7 @@ replays argv by argv.
 
     python tests/replay.py --src path/to/src OUT.json
     python tests/replay.py --compare A.json B.json
+    python tests/replay.py --digest OUT.json
 
 The corpus, with repeats dropped:
 - every argv of tests/*_golden.json
@@ -22,13 +23,21 @@ tracebacks of two trees compare.  --compare counts the argvs over the
 limit on one side only and prints each with the CPU of the side that
 finished it, so that a fix reads apart from a run that ends near the
 limit; it sums the CPU of the argvs that finish on both, and prints the
-first SHOW differing argvs.  Not a test module; pytest does not collect
-it.
+first SHOW differing argvs.
+
+The digest, tests/replay_digest.json, is the committed outcome of every
+argv: {argv key: outcome key}, each a 12-hex-digit SHA-256 prefix, of the
+argv's JSON and of its (exit code, stdout, stderr, runner error), or
+"over the limit".  --digest writes it from a replay; --compare reads a
+digest in place of either replay, and then compares outcome keys and
+sums no CPU for that side.  A change that alters an output regenerates
+the digest.  Not a test module; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import random
@@ -48,6 +57,8 @@ RANDOM_WEIGHTS = ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 1, 1), (1, 1, 2, 3), (
 MODULI = (2, 3, 4, 5, 6, 8, 12)
 CPU_LIMIT_S = 4.0
 SHOW = 10
+DIGEST = ROOT / "tests" / "replay_digest.json"
+OVER = "over the limit"
 
 
 def _random_form(rng, weights, d, size):
@@ -121,27 +132,32 @@ def _on_limit(signum, frame):
     raise CpuLimit
 
 
-def replay(src):
+def replay(src, argvs=None):
+    """The records of argvs (default: the corpus) run through the cli.main
+    of the package under src."""
     src = str(Path(src).resolve())
     sys.path.insert(0, src)
     from bench.run import InProcess
 
     runner = InProcess()
-    signal.signal(signal.SIGPROF, _on_limit)
+    previous = signal.signal(signal.SIGPROF, _on_limit)
     results = []
-    for argv in corpus():
-        start = time.process_time()
-        signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
-        try:
-            res = runner.run(argv)[0]
-            record = {"rc": res.rc, "stdout": res.stdout,
-                      "stderr": res.stderr.replace(src, "<src>"), "error": res.error}
-        except CpuLimit:
-            record = {"cpu_limit": CPU_LIMIT_S}
-        finally:
-            signal.setitimer(signal.ITIMER_PROF, 0)
-        record["cpu_s"] = round(time.process_time() - start, 4)
-        results.append({"argv": list(argv), **record})
+    try:
+        for argv in corpus() if argvs is None else argvs:
+            start = time.process_time()
+            signal.setitimer(signal.ITIMER_PROF, CPU_LIMIT_S)
+            try:
+                res = runner.run(argv)[0]
+                record = {"rc": res.rc, "stdout": res.stdout,
+                          "stderr": res.stderr.replace(src, "<src>"), "error": res.error}
+            except CpuLimit:
+                record = {"cpu_limit": CPU_LIMIT_S}
+            finally:
+                signal.setitimer(signal.ITIMER_PROF, 0)
+            record["cpu_s"] = round(time.process_time() - start, 4)
+            results.append({"argv": list(argv), **record})
+    finally:
+        signal.signal(signal.SIGPROF, previous)
     return results
 
 
@@ -149,43 +165,83 @@ def _outcome(record):
     return {k: v for k, v in record.items() if k not in ("argv", "cpu_s")}
 
 
+def _short_hash(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def argv_key(argv):
+    return _short_hash(list(argv))
+
+
+def outcome_key(record):
+    """The record's digest entry: a hash of its outcome, or OVER."""
+    if "key" in record:                     # a record read from a digest
+        return record["key"]
+    return OVER if "cpu_limit" in record else _short_hash(_outcome(record))
+
+
+def digest(records):
+    return {argv_key(r["argv"]): outcome_key(r) for r in records}
+
+
+def _keyed(data):
+    """{argv key: record} of a replay, or of a digest, whose records
+    carry only their outcome key."""
+    if isinstance(data, dict):
+        return {k: {"key": v} for k, v in data.items()}
+    return {argv_key(r["argv"]): r for r in data}
+
+
 def compare(a, b):
-    left = {tuple(r["argv"]): r for r in a}
-    right = {tuple(r["argv"]): r for r in b}
-    shared = [argv for argv in left if argv in right]
-    differ = [argv for argv in shared if _outcome(left[argv]) != _outcome(right[argv])]
-    over = [{argv for argv in shared if "cpu_limit" in side[argv]} for side in (left, right)]
-    finished = [argv for argv in shared if argv not in over[0] | over[1]]
+    left, right = _keyed(a), _keyed(b)
+    shared = [k for k in left if k in right]
+    differ = [k for k in shared if outcome_key(left[k]) != outcome_key(right[k])]
+    over = [{k for k in shared if outcome_key(side[k]) == OVER} for side in (left, right)]
+    finished = [k for k in shared if k not in over[0] | over[1]]
+
+    def shown(k):      # the argv, when a replay names it
+        return json.dumps(left[k].get("argv") or right[k].get("argv") or k)
+
+    def cpu(side, keys, spec):     # a digest records no CPU
+        times = [side[k].get("cpu_s") for k in keys]
+        return "-" if None in times else f"{sum(times):{spec}} s"
+
     print(f"argvs: {len(left)} and {len(right)}, {len(shared)} in both")
     print(f"identical: {len(shared) - len(differ)} ({len(over[0] & over[1])} of them over "
           f"the CPU limit on both)")
     print(f"differing: {len(differ)}")
     print(f"over the CPU limit on one side only: {len(over[0] - over[1])} and "
           f"{len(over[1] - over[0])}")
-    for argv in (v for v in shared if v in over[0] ^ over[1]):
-        name, done = ("B", right) if argv in over[0] else ("A", left)
-        print(f"    {name} finishes in {done[argv]['cpu_s']:.2f} s: {json.dumps(list(argv))}")
+    for k in (k for k in shared if k in over[0] ^ over[1]):
+        name, done = ("B", right) if k in over[0] else ("A", left)
+        print(f"    {name} finishes in {cpu(done, [k], '.2f')}: {shown(k)}")
     print(f"CPU on the {len(finished)} argvs that finish on both: "
-          f"{sum(left[v]['cpu_s'] for v in finished):.1f} s and "
-          f"{sum(right[v]['cpu_s'] for v in finished):.1f} s")
-    for argv in differ[:SHOW]:
-        print(json.dumps(list(argv)))
+          f"{cpu(left, finished, '.1f')} and {cpu(right, finished, '.1f')}")
+    for k in differ[:SHOW]:
+        print(shown(k))
         for side in (left, right):
-            print("   ", json.dumps(_outcome(side[argv]))[:400])
+            print("   ", json.dumps(side[k].get("key") or _outcome(side[k]))[:400])
     return 1 if differ else 0
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--src", help="the src/ directory whose delpezzo package runs")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two replay files")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="two replay files, or a replay file and the digest")
+    parser.add_argument("--digest", metavar="REPLAY",
+                        help=f"write the digest of a replay file to {DIGEST.relative_to(ROOT)}")
     parser.add_argument("out", nargs="?", help="where to write the replay")
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         return compare(a, b)
+    if args.digest:
+        records = json.loads(Path(args.digest).read_text())
+        DIGEST.write_text(json.dumps(digest(records), indent=0) + "\n")
+        return 0
     if not (args.src and args.out):
-        parser.error("give --src DIR OUT.json, or --compare A.json B.json")
+        parser.error("give --src DIR OUT.json, --compare A.json B.json or --digest OUT.json")
     results = replay(args.src)
     Path(args.out).write_text(json.dumps(results, indent=0) + "\n")
     print(f"{len(results)} argvs, {sum('cpu_limit' in r for r in results)} over the CPU limit")

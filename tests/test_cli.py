@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip().startswith(("{", "[")) else out)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*args, **env):
+    """A fresh interpreter with src/ on its path, its output captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 def test_quotient_builtin(capsys):
@@ -85,10 +96,7 @@ def test_subcommands_import_only_their_modules():
         "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n"
         "cli.main(['quotient', '--builtin', 'z3'])\n"
         "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -449,3 +457,59 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["exception"] == "ZeroDivisionError"
     assert "Traceback (most recent call last)" in captured.err
+
+
+
+PROCESS_ARGVS = {          # the exit code, the argv
+    "exit 0": (0, ["quotient", "--builtin", "quaternion8"]),
+    "exit 1": (1, ["group", "--presentation", "gens=2; rel=1^2", "--bound", "1"]),
+    "exit 2 from argparse": (2, ["quotient", "--no-such-option"]),
+    "exit 2 from a subcommand": (2, ["quotient"]),
+    "help": (0, ["--help"]),
+}
+
+
+@pytest.mark.parametrize("code, argv", PROCESS_ARGVS.values(), ids=PROCESS_ARGVS.keys())
+def test_process_path_equals_main(capsys, monkeypatch, code, argv):
+    # a fixed width, so that argparse wraps the help text alike in both
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = _python("-m", "delpezzo.cli", *argv, COLUMNS="80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert proc.stdout or proc.stderr
+
+
+def test_process_delivers_the_whole_report_through_a_pipe(capsys):
+    proc = _python("-m", "delpezzo.cli", "report")
+    assert main(["report"]) == 0 == proc.returncode
+    assert proc.stdout == capsys.readouterr().out
+    assert len(proc.stdout) > 16_000 and proc.stdout.endswith("}\n")
+
+
+def test_run_keeps_exit_handlers_and_their_output():
+    script = ("import atexit, sys\n"
+              "from delpezzo import cli\n"
+              "atexit.register(print, 'handler ran')\n"
+              "sys.argv = ['delpezzo', 'mumford', '--i', '4']\n"
+              "cli.run()\n")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    first, handler = proc.stdout.splitlines()
+    assert json.loads(first)["i"] == 4 and handler == "handler ran"
+
+
+def test_run_exits_as_before_when_stdout_cannot_be_flushed():
+    # run() falls back to sys.exit, so the failed flush is reported and
+    # exits 120 as it does after sys.exit(main())
+    script = ("import io, sys\n"
+              "from delpezzo import cli\n"
+              "class Closed(io.StringIO):\n"
+              "    def flush(self):\n"
+              "        raise BrokenPipeError(32, 'Broken pipe')\n"
+              "sys.stdout = Closed()\n"
+              "sys.argv = ['delpezzo', 'mumford', '--i', '4']\n")
+    runs = [_python("-c", script + entry) for entry in ("cli.run()", "sys.exit(cli.main())")]
+    outcomes = [(p.returncode, re.sub(r"0x[0-9a-f]+", "0x", p.stderr)) for p in runs]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 120 and "BrokenPipeError" in outcomes[0][1]

@@ -136,6 +136,10 @@ SUBCOMMAND_ARGVS = {
 }
 
 
+# the subcommands that parse no rational and compute in integers
+FRACTION_FREE = {"mumford", "group", "report", "lemma1", "classify", "recognize", "blowdown"}
+
+
 def test_every_subcommand_is_pinned():
     from delpezzo import cli
 
@@ -155,5 +159,5 @@ def test_subcommand_process_loads_no_startup_heavy_module(command):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.split())
     assert not loaded & STARTUP_FREE
-    if command in ("mumford", "group"):
-        assert "fractions" not in loaded
+    if command in FRACTION_FREE:
+        assert not loaded & {"fractions", "decimal", "numbers"}

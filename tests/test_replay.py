@@ -1,0 +1,29 @@
+"""The committed replay digest (see replay.py): it covers the corpus, and
+every 20th argv that finishes gives the outcome it records."""
+
+import json
+
+import pytest
+
+import replay
+
+DIGEST = json.loads(replay.DIGEST.read_text())
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return replay.corpus()
+
+
+def test_digest_covers_the_corpus(corpus):
+    assert sorted(DIGEST) == sorted(replay.argv_key(argv) for argv in corpus)
+
+
+def test_every_20th_finishing_argv_matches_the_digest(corpus):
+    finishing = [argv for argv in corpus
+                 if DIGEST.get(replay.argv_key(argv), replay.OVER) != replay.OVER]
+    records = replay.replay(replay.ROOT / "src", finishing[::20])
+    assert len(records) > 200
+    differ = [r["argv"] for r in records
+              if replay.outcome_key(r) != DIGEST[replay.argv_key(r["argv"])]]
+    assert differ == []
