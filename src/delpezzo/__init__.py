@@ -1,7 +1,7 @@
 """Exact-arithmetic classification of Gorenstein quotients of the plane.
 
 Modules:
-  cyclotomic    exact arithmetic in Q(zeta_m): the surfaces solver's field
+  cyclotomic    exact sums of roots of unity: the surfaces solver's field
   lattice       ADE Dynkin types, dual-graph recognition, blow-down calculus
   fpgroups      coset enumeration, Smith normal form, transform-free abelianization
   plane_action  monomial actions on P^2 in exponents, quotient profiles

@@ -22,8 +22,8 @@ from .cyclotomic import (ConductorCapExceeded, CyclotomicNumber, _poly_divmod, _
 # ---------------------------------------------------------------------------
 # multivariate polynomials: dict {exponent tuple: coefficient}
 #
-# Coefficients are Fractions or CyclotomicNumbers; both take plain
-# operators with each other, and both are false exactly when zero.
+# Coefficients are Fractions or CyclotomicNumbers, sums of roots of unity;
+# both take plain operators with each other, and are false exactly when zero.
 # ---------------------------------------------------------------------------
 
 

@@ -17,8 +17,8 @@ from delpezzo import fpgroups as F
 from delpezzo import lattice as L
 from delpezzo import plane_action as P
 from delpezzo import surfaces as S
-from delpezzo.cyclotomic import CyclotomicNumber
-from field_reference import apply, cross
+from delpezzo.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from field_reference import DenseCyclotomic, apply, cross, zeta
 from fixtures import za_surface
 
 N_CASES = 1000
@@ -183,9 +183,9 @@ def test_criterion_7_ramification():
 # ---------------------------------------------------------------------------
 
 def _random_cyclotomic(rng, m):
-    phi = len(CyclotomicNumber.zeta(m).coeffs) if m > 2 else 1
+    phi = len(cyclotomic_polynomial(m)) - 1
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)]
-    return CyclotomicNumber(m, coeffs + [Fraction(0)] * 8)
+    return CyclotomicNumber((Fraction(i, m), c) for i, c in enumerate(coeffs))
 
 
 def test_criterion_8a_cyclotomic_axioms():
@@ -198,8 +198,8 @@ def test_criterion_8a_cyclotomic_axioms():
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
-            assert (a - a).is_zero()
-            if not b.is_zero():
+            assert not a - a
+            if b:
                 assert a * b.inverse() * b == a
                 assert b * b.inverse() == 1
 
@@ -210,9 +210,8 @@ def _random_root(rng):
 
 
 def _cyclotomic_coords(p):
-    """The coordinates of an exponent point as CyclotomicNumbers."""
-    return [CyclotomicNumber.zero() if e is None
-            else CyclotomicNumber.zeta(e.denominator, e.numerator) for e in p.exps]
+    """The coordinates of an exponent point in the dense reference field."""
+    return [DenseCyclotomic.zero() if e is None else zeta(e) for e in p.exps]
 
 
 def _random_point_on(rng, normal):
@@ -258,7 +257,7 @@ def test_criterion_8b_fixed_points():
                 assert q != p
                 coords = _cyclotomic_coords(q)
                 dot = sum((a * b for a, b in zip(_cyclotomic_coords(normal), coords)),
-                          CyclotomicNumber.zero())
+                          DenseCyclotomic.zero())
                 assert dot.is_zero()
                 assert q.transformed(g) == q
                 assert all(c.is_zero() for c in cross(apply(g, coords), coords))

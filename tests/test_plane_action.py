@@ -32,7 +32,7 @@ from delpezzo.plane_action import (
     quotient_profile,
     tangent_eigenvalues,
 )
-from field_reference import apply, cross
+from field_reference import DenseCyclotomic, apply, cross, zeta
 
 
 def mono(perm, scalars):
@@ -64,11 +64,6 @@ def _transpose_image(g, normal):
     under the inverse transpose of g, which permutes like g and negates
     its scalars."""
     return normal.transformed(MonomialMatrix(g.perm, tuple(-s for s in g.scalars)))
-
-
-def zeta(e):
-    """zeta^e as a CyclotomicNumber."""
-    return CyclotomicNumber.zeta(e.denominator, e.numerator)
 
 
 class TestMonomialMatrix:
@@ -479,7 +474,7 @@ def test_bench_tracer_sees_plane_action(monkeypatch):
     assert totals["plane_action.classify_stabilizer"][0] >= 1
 
 
-def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+def test_bench_tracer_installs_and_uninstalls(monkeypatch, capsys):
     # the traced benchmark run looks every patched name up in its owner's
     # __dict__: a rewrite that deletes one fails here, and uninstalling
     # must put every original back
@@ -496,8 +491,15 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     try:
         patched = {(target, name) for target, name, _ in tracer._patched}
         assert (plane_action.ProjectivePoint, "__init__") in patched
-        assert (cyclotomic.CyclotomicNumber, "reduce_conductor") in patched
+        for name in ("__init__", "__mul__", "__rmul__", "inverse", "reduce_conductor",
+                     "as_root_of_unity"):
+            assert (cyclotomic.CyclotomicNumber, name) in patched, name
         assert [dict(vars(owner)) for owner in owners] != before
+        # the singular points [1, 0, +-i] are read through the reduction
+        assert cli.main(["wps", "--poly", "vars X:1 Y:1 Z:1\n-X^2*Y - Y*Z^2",
+                         "--singular"]) == 0
+        assert "zeta(1/4)" in capsys.readouterr().out
+        assert tracer.totals()["cyclotomic.reduce_conductor"][0] > 0
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
@@ -643,7 +645,7 @@ def test_exponent_str_matches_cyclotomic_reference():
             if math.gcd(k, m) != 1:
                 continue
             e = Fraction(k, m)
-            ref = zeta(e).reduce_conductor()
+            ref = CyclotomicNumber.zeta(m, k).reduce_conductor()
             assert str(ProjectivePoint((Fraction(0), e, None))) == f"[1, {ref}, 0]"
             checked += 1
     assert checked == 396
@@ -657,8 +659,8 @@ def test_point_key_is_exponent_order_with_zero_first():
 
 
 def _ref(p):
-    """Coordinates of an exponent point rebuilt as CyclotomicNumbers."""
-    return [CyclotomicNumber.zero() if e is None else zeta(e) for e in p.exps]
+    """Coordinates of an exponent point rebuilt in the dense reference field."""
+    return [DenseCyclotomic.zero() if e is None else zeta(e) for e in p.exps]
 
 
 def _same_point(u, v):
@@ -666,7 +668,7 @@ def _same_point(u, v):
 
 
 def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), CyclotomicNumber.zero())
+    return sum((a * b for a, b in zip(u, v)), DenseCyclotomic.zero())
 
 
 def _spectrum(g):

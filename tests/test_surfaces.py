@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -271,8 +272,7 @@ def _complex_value(root):
     from delpezzo.cyclotomic import CyclotomicNumber
 
     if isinstance(root, CyclotomicNumber):
-        z = complex(math.cos(2 * math.pi / root.conductor), math.sin(2 * math.pi / root.conductor))
-        return sum(float(c) * z ** i for i, c in enumerate(root.coeffs))
+        return sum(float(c) * cmath.exp(2j * math.pi * e) for e, c in root.terms.items())
     return complex(root)
 
 
