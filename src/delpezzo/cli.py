@@ -14,7 +14,9 @@ rational is parsed or computed, so `group`, `mumford`, `report`,
 `lemma1`, `classify`, `recognize` and `blowdown` never load it.
 
 A process enters at run(), which exits without tearing the interpreter
-down; main(argv) is the in-process API.
+down; main(argv) is the in-process API.  Each call builds the top-level
+parser and the arguments of the one subcommand its argv names, from the
+SUBCOMMANDS table.
 """
 
 from __future__ import annotations
@@ -35,8 +37,13 @@ def _emit(obj, pretty: bool) -> None:
 
 def _read_maybe_file(value: str) -> str:
     if os.path.exists(value):
-        with open(value, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value, encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:          # a directory, no permission
+            raise SystemExit2(f"cannot read {value}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise SystemExit2(f"cannot read {value}: {exc}") from None
     return value
 
 
@@ -219,7 +226,7 @@ def cmd_blowdown(args) -> dict:
 
 
 def _parse_params(pairs):
-    from fractions import Fraction
+    from . import surfaces
 
     params = {}
     for pair in pairs or []:
@@ -227,9 +234,11 @@ def _parse_params(pairs):
         if not key or not value:
             raise SystemExit2(f"bad --param {pair!r}; expected name=rational")
         try:
-            params[key] = Fraction(value)
+            params[key] = surfaces.read_rational(value)
         except (ValueError, ZeroDivisionError):
             raise SystemExit2(f"bad rational {value!r} in --param") from None
+        except OverflowError as exc:
+            raise SystemExit2(f"bad --param {pair!r}: {exc}") from None
     return params
 
 
@@ -267,17 +276,17 @@ def cmd_wps(args) -> dict:
 
 
 def cmd_germ(args) -> dict:
-    from fractions import Fraction
-
     from . import surfaces
 
     f = _load_poly(args)
     if len(f.names) != 2:
         raise SystemExit2("germ classification needs a 2-variable polynomial")
     try:
-        point = tuple(Fraction(x) for x in args.at.split(","))
+        point = tuple(surfaces.read_rational(x) for x in args.at.split(","))
     except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"bad point {args.at!r}; expected x,y rationals") from None
+    except OverflowError as exc:
+        raise SystemExit2(f"bad point {args.at!r}: {exc}") from None
     if len(point) != 2:
         raise SystemExit2("the point needs exactly two coordinates")
     try:
@@ -312,62 +321,66 @@ class SystemExit2(Exception):
     """Usage/parse error: message on stderr, exit code 2."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help line, its arguments as (flag, add_argument keywords) pairs)
+SUBCOMMANDS = {
+    "quotient": ("singularity profile of P^2 / G", (
+        ("--action", {"help": "action JSON (file or literal)"}),
+        ("--builtin", {"help": "name of a built-in action"}))),
+    "classify": ("enumerate covers of a top surface", (
+        ("--top", {"required": True, "help": "P2, Q, or lemma1:<row>"}),)),
+    "lemma1": ("the degree table with consistency checks", ()),
+    "group": ("coset enumeration of a presentation", (
+        ("--presentation", {"help": "presentation text (default: stdin)"}),
+        ("--bound", {"type": int, "help": "coset table bound"}),
+        ("--abelianization", {"action": "store_true"}),
+        ("--hom", {"type": int, "metavar": "D",
+                   "help": "also count homomorphisms to Z/D"}))),
+    "mumford": ("boundary fundamental group presentation", (
+        ("--i", {"type": int, "required": True}),)),
+    "recognize": ("recognize an ADE dual graph", (
+        ("--config", {"required": True, "help": "curve config JSON (file or literal)"}),)),
+    "blowdown": ("contract a (-1)-curve", (
+        ("--config", {"required": True, "help": "curve config JSON (file or literal)"}),
+        ("--curve", {"required": True, "help": "label of the curve to contract"}))),
+    "wps": ("weighted hypersurface checks", (
+        ("--poly", {"required": True, "help": "polynomial text (file or literal)"}),
+        ("--param", {"action": "append", "metavar": "NAME=Q"}),
+        ("--singular", {"action": "store_true",
+                        "help": "compute the cone singular locus"}))),
+    "germ": ("classify a plane-curve germ", (
+        ("--poly", {"required": True}),
+        ("--param", {"action": "append", "metavar": "NAME=Q"}),
+        ("--at", {"required": True, "help": "point as x,y rationals"}))),
+    "fibers": ("elliptic fibre configurations", (
+        ("--must-contain", {"default": "II*"}),
+        ("--total-euler", {"type": int, "default": 12}))),
+    "report": ("the aggregated classification report", ()),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of one argv.  The top level registers every subcommand
+    with its help line, so its usage, help and errors do not depend on
+    argv; only the subcommand argv names, its first item not starting
+    with '-', gets -h and its arguments.  The top level has only flags,
+    so a subparser argparse reaches is always that one."""
+    named = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(prog="delpezzo")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("quotient", help="singularity profile of P^2 / G")
-    p.add_argument("--action", help="action JSON (file or literal)")
-    p.add_argument("--builtin", help="name of a built-in action")
-
-    p = sub.add_parser("classify", help="enumerate covers of a top surface")
-    p.add_argument("--top", required=True, help="P2, Q, or lemma1:<row>")
-
-    sub.add_parser("lemma1", help="the degree table with consistency checks")
-
-    p = sub.add_parser("group", help="coset enumeration of a presentation")
-    p.add_argument("--presentation", help="presentation text (default: stdin)")
-    p.add_argument("--bound", type=int, help="coset table bound")
-    p.add_argument("--abelianization", action="store_true")
-    p.add_argument("--hom", type=int, metavar="D",
-                   help="also count homomorphisms to Z/D")
-
-    p = sub.add_parser("mumford", help="boundary fundamental group presentation")
-    p.add_argument("--i", type=int, required=True)
-
-    p = sub.add_parser("recognize", help="recognize an ADE dual graph")
-    p.add_argument("--config", required=True, help="curve config JSON (file or literal)")
-
-    p = sub.add_parser("blowdown", help="contract a (-1)-curve")
-    p.add_argument("--config", required=True, help="curve config JSON (file or literal)")
-    p.add_argument("--curve", required=True, help="label of the curve to contract")
-
-    p = sub.add_parser("wps", help="weighted hypersurface checks")
-    p.add_argument("--poly", required=True, help="polynomial text (file or literal)")
-    p.add_argument("--param", action="append", metavar="NAME=Q")
-    p.add_argument("--singular", action="store_true",
-                   help="compute the cone singular locus")
-
-    p = sub.add_parser("germ", help="classify a plane-curve germ")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--param", action="append", metavar="NAME=Q")
-    p.add_argument("--at", required=True, help="point as x,y rationals")
-
-    p = sub.add_parser("fibers", help="elliptic fibre configurations")
-    p.add_argument("--must-contain", default="II*")
-    p.add_argument("--total-euler", type=int, default=12)
-
-    sub.add_parser("report", help="the aggregated classification report")
-
+    for name, (help_line, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line, add_help=name == named)
+        if name == named:
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help
         return exc.code if isinstance(exc.code, int) else 2

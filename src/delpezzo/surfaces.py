@@ -142,14 +142,43 @@ MAX_COEFFICIENT_BITS = 4096     # numerator and denominator of a term's coeffici
 MAX_EXPONENT = 4096             # of one variable in one term
 
 
+# a decimal literal with an exponent, as Fraction reads it: digits, fraction digits,
+# exponent; compiled (and cached by re) at the first literal with an 'e', not at import
+_EXPONENT_LITERAL = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                     r"(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
+_CAP_DIGITS = 1234              # 10**1234 passes MAX_COEFFICIENT_BITS
+
+
+def _bits(q: Fraction) -> int:
+    return max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+
+
+def read_rational(text: str) -> Fraction:
+    """Fraction(text), refused with OverflowError when its numerator or
+    denominator passes MAX_COEFFICIENT_BITS.  A nonzero literal of d
+    significant digits and decimal scale s (its exponent less its fraction
+    digits) has a numerator or denominator of at least 10**(|s| - d), so it
+    is refused before Fraction builds 10**|s| once |s| - d >= _CAP_DIGITS."""
+    m = re.fullmatch(_EXPONENT_LITERAL, text) if "e" in text or "E" in text else None
+    if m:
+        whole, fraction = m[1].replace("_", ""), (m[2] or "").replace("_", "")
+        digits = (whole + fraction).lstrip("0")
+        if not digits:
+            return Fraction(0)
+        if abs(int(m[3]) - len(fraction)) - len(digits) >= _CAP_DIGITS:
+            raise OverflowError(f"{text!r} passes {MAX_COEFFICIENT_BITS} bits")
+    value = Fraction(text)
+    if _bits(value) > MAX_COEFFICIENT_BITS:
+        raise OverflowError(f"{text!r} passes {MAX_COEFFICIENT_BITS} bits")
+    return value
+
+
 def _times_power(coeff: Fraction, base: Fraction, power: int, term: str) -> Fraction:
     """coeff * base**power, refused past MAX_COEFFICIENT_BITS.  An integer of
     b bits has more than (b - 1) * power bits to that power: checked first."""
-    size = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
-    if (size - 1) * power < MAX_COEFFICIENT_BITS:
+    if (_bits(base) - 1) * power < MAX_COEFFICIENT_BITS:
         coeff *= base ** power
-        if max(abs(coeff.numerator).bit_length(),
-               coeff.denominator.bit_length()) <= MAX_COEFFICIENT_BITS:
+        if _bits(coeff) <= MAX_COEFFICIENT_BITS:
             return coeff
     raise ValueError(f"the coefficient of {term!r} passes {MAX_COEFFICIENT_BITS} bits")
 
@@ -209,11 +238,14 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
                                      f"{MAX_EXPONENT}")
                 continue
             try:
-                value = params[base] if base in params else Fraction(base)
+                value = params[base] if base in params else read_rational(base)
             except ValueError:
                 raise ValueError(f"unknown symbol {base!r} in polynomial") from None
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {base!r}") from None
+            except OverflowError:
+                raise ValueError(f"the coefficient of {tok!r} passes "
+                                 f"{MAX_COEFFICIENT_BITS} bits") from None
             coeff = _times_power(coeff, value, power, tok)
         e = tuple(expo)
         terms[e] = terms.get(e, Fraction(0)) + coeff

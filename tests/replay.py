@@ -14,12 +14,14 @@ The corpus, with repeats dropped:
   each in all 6 orders of its 3 variables, and random 3- and 4-variable
   forms
 - seeded monomial actions of 1-3 generators for `quotient --action`
+- PARSER_ARGVS, which argparse answers or refuses itself (none reads stdin)
 
 Each argv runs through the cli.main of the package under --src by the
 benchmark's in-process runner, with stdout and stderr captured, under
 CPU_LIMIT_S seconds of CPU: past it the argv is recorded as over the
-limit, with no output.  --src is written as <src> in stderr, so that
-tracebacks of two trees compare.  --compare counts the argvs over the
+limit, with no output.  COLUMNS is 80 while it runs, so that argparse
+wraps help and usage alike on every terminal.  --src is written as <src>
+in stderr, so that tracebacks of two trees compare.  --compare counts the argvs over the
 limit on one side only and prints each with the CPU of the side that
 finished it, so that a fix reads apart from a run that ends near the
 limit; it sums the CPU of the argvs that finish on both, and prints the
@@ -40,6 +42,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import random
 import signal
 import sys
@@ -59,6 +62,20 @@ CPU_LIMIT_S = 4.0
 SHOW = 10
 DIGEST = ROOT / "tests" / "replay_digest.json"
 OVER = "over the limit"
+GERM = "vars X:1 Y:1\nX^2 - 4*Y^2"
+PARSER_ARGVS = (
+    ("-h",), (), ("nosuch",), ("-",), ("-5", "report"), ("--", "report"),
+    ("--nosuch", "report"), ("report", "--nosuch"), ("--pretty=1", "report"),
+    *((name, "-h") for name in ("quotient", "classify", "lemma1", "group", "mumford",
+                                "recognize", "blowdown", "wps", "germ", "fibers", "report")),
+    ("classify",), ("mumford",), ("recognize",), ("blowdown",), ("blowdown", "--config", "{}"),
+    ("wps",), ("germ",), ("germ", "--poly", GERM),
+    ("mumford", "--i", "x"), ("group", "--presentation", "gens=1; rel=1^2", "--bound", "x"),
+    ("group", "--presentation", "gens=1; rel=1^2", "--hom", "x"),
+    ("fibers", "--total-euler", "x"),
+    ("group", "--pres", "gens=1; rel=1^2"),
+    ("germ", "--poly", GERM, "--at", "-2,1"), ("germ", "--poly", GERM, "--at=-2,1"),
+)
 
 
 def _random_form(rng, weights, d, size):
@@ -120,6 +137,7 @@ def corpus():
     argvs += _two_form_argvs(rng, 200)
     argvs += _random_form_argvs(rng, 600)
     argvs += _action_argvs(rng, 800)
+    argvs += PARSER_ARGVS
     return list(dict.fromkeys(argvs))
 
 
@@ -141,6 +159,8 @@ def replay(src, argvs=None):
 
     runner = InProcess()
     previous = signal.signal(signal.SIGPROF, _on_limit)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
     results = []
     try:
         for argv in corpus() if argvs is None else argvs:
@@ -158,6 +178,10 @@ def replay(src, argvs=None):
             results.append({"argv": list(argv), **record})
     finally:
         signal.signal(signal.SIGPROF, previous)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return results
 
 

@@ -326,6 +326,39 @@ def test_coefficient_over_the_cap_exits_2_fast(capsys, argv, term):
                                        f"{term!r} passes 4096 bits\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["wps", "--poly", "vars X:1 Y:1\n1e10000000*X + Y"],
+     "bad polynomial: the coefficient of '1e10000000*X' passes 4096 bits"),
+    (["wps", "--poly", "vars X:1 Y:1\na*X + Y", "--param", "a=1e10000000"],
+     "bad --param 'a=1e10000000': '1e10000000' passes 4096 bits"),
+    (["germ", "--poly", "vars x:1 y:1\nx - y", "--at", "1e10000000,1e10000000"],
+     "bad point '1e10000000,1e10000000': '1e10000000' passes 4096 bits"),
+    (["germ", "--poly", "vars x:1 y:1\nx - y", "--at", "1e5000,1e5000"],
+     "bad point '1e5000,1e5000': '1e5000' passes 4096 bits"),
+], ids=["coefficient", "param", "point", "point-over-str-limit"])
+def test_exponent_notation_over_the_cap_exits_2_fast(capsys, argv, err):
+    # 10**(10**7) took 7-15 s to build; a 5,001-digit point could not be printed (exit 3)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wps", "--poly"], ["quotient", "--action"], ["recognize", "--config"],
+    ["blowdown", "--curve", "E", "--config"], ["germ", "--at", "0,0", "--poly"],
+], ids=lambda argv: argv[0])
+def test_unreadable_file_argument_exits_2(capsys, tmp_path, argv):
+    # a directory raised IsADirectoryError, a binary file UnicodeDecodeError: both exit 3
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"vars \xc0\xff")
+    assert main(argv + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+    assert main(argv + [str(binary)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {binary}: 'utf-8' codec can't decode byte 0xc0")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["wps", "--poly", "vars X:1 Y:1\nX*Y^100000000000", "--singular"],
      "the exponent of Y in 'X*Y^100000000000' passes 4096"),
@@ -466,6 +499,8 @@ PROCESS_ARGVS = {          # the exit code, the argv
     "exit 2 from argparse": (2, ["quotient", "--no-such-option"]),
     "exit 2 from a subcommand": (2, ["quotient"]),
     "help": (0, ["--help"]),
+    "subcommand help": (0, ["wps", "--help"]),
+    "exit 2 from a subcommand parser": (2, ["mumford", "--i", "x"]),
 }
 
 

@@ -89,6 +89,25 @@ class TestParsePoly:
                   a="-1")
         assert f.terms == {(1, 0): 1, (0, 1): -1}
 
+    def test_read_rational_is_fraction_inside_the_cap(self):
+        for text in ("3", " -2/6 ", "1.5e3", "+.25E-2", "1_000.0_1e1_0", "1e1233", "1e-1233",
+                     "0.001e1235", "10000e-1236", str(2 ** 4096 - 1), "0e10000000", "-0.0e-99"):
+            assert S.read_rational(text) == Fraction(text.replace("e10000000", ""))
+        for text in ("x", "1/2e3", "1e", "e5", "1e1_", "1.2.3"):
+            with pytest.raises(ValueError):
+                S.read_rational(text)
+        with pytest.raises(ZeroDivisionError):
+            S.read_rational("1/0")
+
+    def test_read_rational_refuses_past_the_cap_before_building(self):
+        # 10**1234 and 1/10**1234 have 4100 bits; 10**10**9 would take minutes to build
+        start = time.perf_counter()
+        for text in ("1e1234", "1e-1234", "-7.5e10000000", "1e-1000000000", "0.01e1236",
+                     str(2 ** 4096), f"1/{2 ** 4096}"):
+            with pytest.raises(OverflowError, match="passes 4096 bits"):
+                S.read_rational(text)
+        assert time.perf_counter() - start < 0.5
+
     def test_exponents_are_capped(self):
         assert S.MAX_EXPONENT == 4096
         # a variable's exponent in a term, summed over its factors
