@@ -111,27 +111,6 @@ def cmd_lemma1(args) -> dict:
     return {"rows": rows, "impossible_d7": True, "note": classifier.D7_NOTE}
 
 
-def _coset_bound(args) -> int:
-    """The number of cosets the enumeration may define: --bound, else
-    DELPEZZO_COSET_BOUND, else the library default."""
-    from . import fpgroups
-
-    if args.bound is not None:
-        bound, source = args.bound, "--bound"
-    else:
-        env = os.environ.get("DELPEZZO_COSET_BOUND")
-        if env is None:
-            return fpgroups.DEFAULT_COSET_BOUND
-        source = "DELPEZZO_COSET_BOUND"
-        try:
-            bound = int(env)
-        except ValueError:
-            raise SystemExit2(f"{source} must be an integer, got {env!r}") from None
-    if bound < 1:
-        raise SystemExit2(f"{source} must be at least 1, got {bound}")
-    return bound
-
-
 def _load_presentation(args) -> fpgroups.Presentation:
     from . import fpgroups
 
@@ -159,7 +138,9 @@ def cmd_group(args) -> dict:
 
     if args.hom is not None and args.hom < 1:
         raise SystemExit2(f"--hom must be at least 1, got {args.hom}")
-    bound = _coset_bound(args)
+    if args.bound is not None and args.bound < 1:
+        raise SystemExit2(f"--bound must be at least 1, got {args.bound}")
+    bound = fpgroups.DEFAULT_COSET_BOUND if args.bound is None else args.bound
     p = _load_presentation(args)
     out = {"presentation": fpgroups.format_presentation(p)}
     try:
@@ -408,8 +389,12 @@ def run() -> None:
     """The process entry point: main() on sys.argv, then an exit that skips
     the interpreter's teardown (a fifth of a short process).  The exit
     handlers run and the output is flushed first, as at a normal exit; if
-    a flush fails (a closed pipe or fd), sys.exit exits as it always did."""
-    rc = main()
+    a flush fails (a closed pipe or fd), sys.exit exits as it always did.
+    A write that fails inside main() is taken as such a flush: exit 120."""
+    try:
+        rc = main()
+    except OSError:         # the only OSError main() lets out is from a write
+        sys.exit(120)
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

@@ -39,18 +39,6 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
 def _poly_divmod(a, b):
     """Exact division with remainder; works over Q (and over Z when exact)."""
     a = list(a)
@@ -79,17 +67,15 @@ def _poly_gcd(a, b):
 def cyclotomic_polynomial(m: int) -> tuple:
     """Integer coefficients of Phi_m, low degree first.
 
-    Computed by dividing x^m - 1 by Phi_d for every proper divisor d.
+    Computed by dividing x^m - 1 by Phi_d for each proper divisor d in turn.
     """
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    den = [1]
+    q = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r, "cyclotomic division must be exact"
+            q, r = _poly_divmod(q, cyclotomic_polynomial(d))
+            assert not r, "cyclotomic division must be exact"
     return tuple(int(c) for c in q)
 
 

@@ -439,7 +439,7 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
     p is an isolated fixed point of g1*g2.  Conjugate elements have
     conjugate fixed loci, so the candidates are G-stable: sorted by key,
     each orbit is met first at its key-least member, its representative.
-    Special orbits are classified by their stabilizers.  A fixed line is
+    Every orbit is special, classified by its stabilizer.  A fixed line is
     named by its pole, and g maps the pole of h to that of ghg^-1, so a
     line orbit is the (special) orbit of its pole, with ramification index
     1 + the number of the pole's fixers.  K^2 from the branch lines is
@@ -460,8 +460,6 @@ def quotient_profile(group: FiniteActionGroup) -> QuotientProfile:
         if len(orbit) * len(stab) != n:
             raise ActionError(f"orbit of {rep} has size {len(orbit)} but its "
                               f"stabilizer has order {len(stab)} in a group of order {n}")
-        if len(stab) == 1:
-            continue        # free orbit: never a singular image, never a pole
         cls = classify_stabilizer(stab, rep)
         if isinstance(cls, Unsupported):
             raise ActionError(str(cls))

@@ -547,9 +547,9 @@ def germ_classify(f_terms, point):
 
     Smooth / Node (A1) / Cusp (A2) by the 3-jet; anything degenerate is
     reported as Other, never guessed."""
-    if poly_specialize(f_terms, dict(enumerate(point))):
-        raise ValueError("the point must lie on the curve")
     shifted = _jet3_at(f_terms, point)
+    if (0, 0) in shifted:           # f(point) != 0
+        raise ValueError("the point must lie on the curve")
     if (1, 0) in shifted or (0, 1) in shifted:
         return GERM_SMOOTH
     a, b, c = (shifted.get(e, Fraction(0)) for e in ((2, 0), (1, 1), (0, 2)))
@@ -570,14 +570,20 @@ def germ_classify(f_terms, point):
 
 def _jet3_at(f_terms, point):
     """The terms of degree <= 3 of f(x + p, y + q): the coefficient of
-    x^a y^b is the sum of c * C(i, a) * C(j, b) * p^(i-a) * q^(j-b)."""
-    p, q = point
+    x^a y^b is the sum of c * C(i, a) * C(j, b) * p^(i-a) * q^(j-b).
+
+    Each term raises each coordinate v to one power, v^(n - min(n, 3))
+    for its exponent n, and multiplies up to the others it needs."""
     out = {}
-    for a in range(4):
-        for b in range(4 - a):
-            out[a, b] = sum(c * math.comb(i, a) * math.comb(j, b)
-                            * p ** (i - a) * q ** (j - b)
-                            for (i, j), c in f_terms.items() if i >= a and j >= b)
+    for (i, j), c in f_terms.items():
+        powers = []                 # powers[k][a] = point[k]^(n - a), n = (i, j)[k]
+        for v, n in zip(point, (i, j)):
+            low = v ** (n - min(n, 3))
+            powers.append([low * v ** (min(n, 3) - a) for a in range(min(n, 3) + 1)])
+        for a in range(min(i, 3) + 1):
+            for b in range(min(j, 3 - a) + 1):
+                out[a, b] = (out.get((a, b), 0) + c * math.comb(i, a) * math.comb(j, b)
+                             * powers[0][a] * powers[1][b])
     return poly_clean(out)
 
 

@@ -10,7 +10,20 @@ exponents to multiply roots as plane_action does, so it can check both."""
 import math
 from fractions import Fraction
 
-from delpezzo.cyclotomic import _poly_divmod, _poly_mul, cyclotomic_polynomial
+from delpezzo.cyclotomic import _poly_divmod, _poly_trim, cyclotomic_polynomial
+
+
+def _poly_mul(a, b):
+    """The product of two coefficient lists, low degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _poly_trim(out)
 
 
 class DenseCyclotomic:

@@ -15,6 +15,8 @@ The corpus, with repeats dropped:
   forms
 - seeded monomial actions of 1-3 generators for `quotient --action`
 - PARSER_ARGVS, which argparse answers or refuses itself (none reads stdin)
+- ERROR_ARGVS, one for each refusal or verdict of cli that no argv above
+  reaches
 
 Each argv runs through the cli.main of the package under --src by the
 benchmark's in-process runner, with stdout and stderr captured, under
@@ -75,6 +77,28 @@ PARSER_ARGVS = (
     ("fibers", "--total-euler", "x"),
     ("group", "--pres", "gens=1; rel=1^2"),
     ("germ", "--poly", GERM, "--at", "-2,1"), ("germ", "--poly", GERM, "--at=-2,1"),
+)
+CYCLIC6 = ("group", "--presentation", "gens=1; rel=1^6")
+CURVES = '{"labels": ["E", "C"], "matrix": [[-1, 1], [1, -2]]}'
+NOT_QH = "vars X:1 Y:1 Z:1\nX^2 + Y^3 + Z^3"
+ERROR_ARGVS = (
+    (*CYCLIC6, "--hom", "4"), (*CYCLIC6, "--hom", "0"),
+    (*CYCLIC6, "--bound", "0"), (*CYCLIC6, "--bound", "-5"),
+    ("group", "--presentation", '{"presentation": "gens=1; rel=1^6"}'),
+    ("group", "--presentation", '["gens=1; rel=1^6"]'),
+    ("quotient",), ("quotient", "--builtin", "z3xz3", "--action", "[]"),
+    ("classify", "--top", "nosuch"), ("mumford", "--i", "3"),
+    ("blowdown", "--config", CURVES, "--curve", "D"),
+    ("blowdown", "--config", CURVES, "--curve", "C"),
+    ("wps", "--poly", NOT_QH), ("wps", "--poly", NOT_QH, "--singular"),
+    ("wps", "--poly", "vars A:1 B:1 C:1 D:1 E:1\nA^2 + B^2 + C^2 + D^2 + E^2", "--singular"),
+    ("wps", "--poly", "vars X:1 Y:1\nX^2 - a*Y^2", "--param", "a"),
+    ("wps", "--poly", "vars X:1 Y:1\nX^2 - a*Y^2", "--param", "a=1/0"),
+    ("germ", "--poly", "vars X:1 Y:1 Z:1\nX^2 - Y*Z", "--at", "0,0"),
+    ("germ", "--poly", GERM, "--at", "1,1"), ("germ", "--poly", GERM, "--at=0,0,0"),
+    ("germ", "--poly", GERM, "--at=a,b"),
+    ("germ", "--poly", "vars X:1 Y:1\nX^3 - Y^3", "--at", "0,0"),
+    ("fibers", "--must-contain", "V"), ("fibers", "--total-euler", "1201"),
 )
 
 
@@ -138,6 +162,7 @@ def corpus():
     argvs += _random_form_argvs(rng, 600)
     argvs += _action_argvs(rng, 800)
     argvs += PARSER_ARGVS
+    argvs += ERROR_ARGVS
     return list(dict.fromkeys(argvs))
 
 

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from delpezzo.cyclotomic import (
+    CONDUCTOR_CAP,
     ConductorCapExceeded,
     CyclotomicNumber,
     _poly_gcd,
@@ -26,7 +27,7 @@ def test_cyclotomic_polynomial_values():
 def test_cyclotomic_polynomial_matches_sympy():
     from sympy import cyclotomic_poly
 
-    for m in range(1, 121):
+    for m in range(1, CONDUCTOR_CAP + 1):
         expected = cyclotomic_poly(m, polys=True).all_coeffs()[::-1]
         assert list(cyclotomic_polynomial(m)) == [int(c) for c in expected], m
 

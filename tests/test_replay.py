@@ -1,6 +1,6 @@
 """The committed replay digest (see replay.py): it covers the corpus, and
-every 20th argv that finishes, and every parser-level argv, gives the
-outcome it records."""
+every 20th argv that finishes, every parser-level argv and every error
+argv gives the outcome it records."""
 
 import json
 
@@ -35,3 +35,7 @@ def test_every_20th_finishing_argv_matches_the_digest(corpus):
 
 def test_every_parser_level_argv_matches_the_digest():
     assert _differing(replay.replay(replay.ROOT / "src", replay.PARSER_ARGVS)) == []
+
+
+def test_every_error_argv_matches_the_digest():
+    assert _differing(replay.replay(replay.ROOT / "src", replay.ERROR_ARGVS)) == []

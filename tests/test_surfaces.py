@@ -317,7 +317,8 @@ def test_univariate_roots_match_sympy():
 def test_common_roots_read_off_the_square_free_part():
     # f and f*h^2 have the same roots in the same order, and a leftover
     # names each factor once: it has gcd 1 with its derivative
-    from delpezzo.cyclotomic import _poly_gcd, _poly_mul
+    from delpezzo.cyclotomic import _poly_gcd
+    from field_reference import _poly_mul
 
     rng = random.Random("square-free part")
     for _ in range(20):
