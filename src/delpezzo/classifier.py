@@ -238,10 +238,8 @@ def enumerate_quotients(top_name: str) -> dict:
                     break
             key = (top.name, n, config_str(config))
             if verdict.ok:
-                survivors.append({"degree": n, "config": key[2],
-                                  "d_bottom": d_bot})
-                if key in SURVIVOR_ACTIONS:
-                    survivors[-1]["action"] = SURVIVOR_ACTIONS[key]
+                survivors.append({"degree": n, "config": key[2], "d_bottom": d_bot,
+                                  "action": SURVIVOR_ACTIONS[key]})
                 continue
             exclusions.append({"degree": n, "config": key[2],
                                "reason": verdict.reason, "detail": verdict.detail})
@@ -290,7 +288,8 @@ def forced_exclusions(top: SurfaceProfile):
 
     Every grouping of top points over shared bottom points is considered;
     a degree is excluded when the cheapest forced ranks overflow for all
-    of them."""
+    of them.  The grouping of singletons is always feasible: a lone point
+    of order m admits T = n*m with no smooth preimage."""
     out = []
     points = [local_pi1_order(t) for t in config_sorted(top.config)]
     for n in admissible_degrees(top):
@@ -304,15 +303,6 @@ def forced_exclusions(top: SurfaceProfile):
                            for group, orders in forced]
                 feasible.append((sum(min_rank_for_order(c) for *_, c in witness),
                                  witness))
-        if not feasible:
-            out.append({
-                "degree": n, "d_bottom": d_bot,
-                "forced_rank": None,
-                "reason": LOCAL_ORDER_UNREALIZABLE,
-                "detail": "no bottom local order is compatible with the top's "
-                          "singular points at this degree",
-            })
-            continue
         best_total, witness = min(feasible, key=lambda f: f[0])
         if best_total > budget:
             out.append({
@@ -387,9 +377,7 @@ def theorem1_report() -> dict:
     v3_top = top_profile("A1+A2")
     v3_cases = forced_exclusions(v3_top)
     for case in v3_cases:
-        tag = FORCED_CASE_TAGS.get(case["degree"])
-        if tag:
-            case["paper_case"] = tag
+        case["paper_case"] = FORCED_CASE_TAGS[case["degree"]]
     other_tops = {}
     for row in lemma1_table():
         if row.name in ("P2", "A1", "A1+A2"):

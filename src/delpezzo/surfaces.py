@@ -214,11 +214,9 @@ def parse_poly(text: str, params: dict | None = None) -> WeightedPoly:
     sign = 1
     pending = True
     for tok in tokens:
-        if tok == "+":
-            sign, pending = 1, True
-            continue
-        if tok == "-":
-            sign, pending = -sign if pending else -1, True
+        if tok in "+-":     # the signs before a term multiply
+            sign = (sign if pending else 1) * (-1 if tok == "-" else 1)
+            pending = True
             continue
         if not pending:
             raise ValueError(f"missing operator before {tok!r}")
@@ -445,7 +443,7 @@ def _common_roots(polys):
     """(nonzero roots, leftovers) of the gcd of rational coefficient lists,
     read off its square-free part: the rational roots in the order of the
     key (|p|, q, +p/q before -p/q) of p/q in lowest terms, then the roots
-    of unity of order d <= MAX_ROOT_OF_UNITY_ORDER by d.  What is left,
+    of unity of order 3 <= d <= MAX_ROOT_OF_UNITY_ORDER by d.  What is left,
     square-free, is the leftover."""
     g = polys[0]
     for other in polys[1:]:
@@ -457,7 +455,7 @@ def _common_roots(polys):
     roots = rational_roots(g)
     for r in roots:
         g = _poly_divmod(g, [-r, 1])[0]
-    for d in range(1, MAX_ROOT_OF_UNITY_ORDER + 1):
+    for d in range(3, MAX_ROOT_OF_UNITY_ORDER + 1):
         phi = cyclotomic_polynomial(d)
         if len(phi) > len(g):
             continue

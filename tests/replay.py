@@ -17,6 +17,8 @@ The corpus, with repeats dropped:
 - PARSER_ARGVS, which argparse answers or refuses itself (none reads stdin)
 - ERROR_ARGVS, one for each refusal or verdict of cli that no argv above
   reaches
+- SIGN_ARGVS, polynomials with a run of signs between two terms or before
+  the first
 
 Each argv runs through the cli.main of the package under --src by the
 benchmark's in-process runner, with stdout and stderr captured, under
@@ -100,6 +102,15 @@ ERROR_ARGVS = (
     ("germ", "--poly", "vars X:1 Y:1\nX^3 - Y^3", "--at", "0,0"),
     ("fibers", "--must-contain", "V"), ("fibers", "--total-euler", "1201"),
 )
+# each run once between linear terms, and once between X^2*Z and Y^2*Z, whose
+# singular points are rational for X^2*Z - Y^2*Z
+SIGN_RUNS = ("X - +Y", "X -+ Y", "X + -Y", "X - -Y", "- +X + Y")
+SIGN_ARGVS = (
+    *(("wps", "--poly", f"vars X:1 Y:1\n{text}") for text in SIGN_RUNS),
+    *(("wps", "--poly", "vars X:1 Y:1 Z:1\n" + text.replace("X", "X^2*Z").replace("Y", "Y^2*Z"),
+       "--singular") for text in SIGN_RUNS),
+    ("germ", "--poly", "vars x:1 y:1\nx^2 - +y^2 - 2*x*y", "--at", "0,0"),
+)
 
 
 def _random_form(rng, weights, d, size):
@@ -163,6 +174,7 @@ def corpus():
     argvs += _action_argvs(rng, 800)
     argvs += PARSER_ARGVS
     argvs += ERROR_ARGVS
+    argvs += SIGN_ARGVS
     return list(dict.fromkeys(argvs))
 
 

@@ -194,7 +194,7 @@ def test_forced_exclusions_v3():
     by_degree = {e["degree"]: e for e in out}
     assert set(by_degree) == {2, 3, 6}
     for e in out:
-        assert e["reason"] in (C.RANK_MISMATCH, C.LOCAL_ORDER_UNREALIZABLE)
+        assert e["reason"] == C.RANK_MISMATCH
     # joint rank overflow at degree 2: A3 + A5 style forcing
     assert by_degree[2]["forced_rank"] > 9 - 3
 
@@ -219,6 +219,22 @@ def test_forced_point_orders():
                         and sum(T // m for m in orders) <= n
                         and (n - sum(T // m for m in orders)) % T == 0]
             assert C.forced_point_orders(orders, n) == expected, (orders, n)
+
+
+def test_a_lone_point_of_order_m_admits_order_n_times_m():
+    # so forced_exclusions always has the grouping of singletons to rank
+    for m in range(1, 121):
+        for n in range(1, 13):
+            assert n * m in C.forced_point_orders([m], n), (m, n)
+
+
+def test_every_survivor_of_every_top_names_a_builtin_action():
+    from delpezzo.plane_action import builtin_actions
+
+    names = set(builtin_actions())
+    for top in ("P2", "Q", "V3", "A4", "D5", "E6", "E7", "E8"):
+        for s in C.enumerate_quotients(top)["survivors"]:
+            assert s["action"] in names, (top, s)
 
 
 def test_ramification_constraints():

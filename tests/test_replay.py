@@ -1,6 +1,6 @@
 """The committed replay digest (see replay.py): it covers the corpus, and
-every 20th argv that finishes, every parser-level argv and every error
-argv gives the outcome it records."""
+every 20th argv that finishes, every parser-level argv, every error argv
+and every sign-run argv gives the outcome it records."""
 
 import json
 
@@ -39,3 +39,7 @@ def test_every_parser_level_argv_matches_the_digest():
 
 def test_every_error_argv_matches_the_digest():
     assert _differing(replay.replay(replay.ROOT / "src", replay.ERROR_ARGVS)) == []
+
+
+def test_every_sign_argv_matches_the_digest():
+    assert _differing(replay.replay(replay.ROOT / "src", replay.SIGN_ARGVS)) == []

@@ -49,6 +49,25 @@ class TestParsePoly:
         assert f.terms == {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): -1}
         f = parse("vars X:1 Y:1\n-X - Y + -X*Y - -Y^2")
         assert f.terms == {(1, 0): -1, (0, 1): -1, (1, 1): -1, (0, 2): 1}
+        f = parse("vars X:1 Y:1\n- +X - +Y + -+X*Y - + -Y^2")
+        assert f.terms == {(1, 0): -1, (0, 1): -1, (1, 1): -1, (0, 2): 1}
+
+    def test_sign_runs_read_as_sympy_reads_them(self):
+        # the signs before a term multiply: each - flips, each + keeps
+        import sympy
+
+        x, y = sympy.symbols("X Y")
+        runs = ("+", "-", "- +", "+ -", "- -", "-+", "- + -")
+        monomials = ("X", "Y", "X*Y", "2*X^2", "3/4*Y^3", "5")
+        rng = random.Random("sign runs vs sympy")
+        for _ in range(300):
+            first, *rest = (rng.choice(monomials) for _ in range(rng.randint(1, 4)))
+            text = rng.choice(("",) + runs) + " " + first
+            text += "".join(f" {rng.choice(runs)} {term}" for term in rest)
+            ours = sum(sympy.Rational(c.numerator, c.denominator) * x ** i * y ** j
+                       for (i, j), c in parse("vars X:1 Y:1\n" + text).terms.items())
+            expected = sympy.sympify(text.replace("^", "**"), rational=True)
+            assert sympy.expand(ours - expected) == 0, text
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
