@@ -14,9 +14,9 @@ rational is parsed or computed, so `group`, `mumford`, `report`,
 `lemma1`, `classify`, `recognize` and `blowdown` never load it.
 
 A process enters at run(), which exits without tearing the interpreter
-down; main(argv) is the in-process API.  Each call builds the top-level
-parser and the arguments of the one subcommand its argv names, from the
-SUBCOMMANDS table.
+down; main(argv) is the in-process API.  Each call builds two argparse
+parsers from the SUBCOMMANDS table: the top level, which knows every
+subcommand by name and help line, and the one subcommand its argv names.
 """
 
 from __future__ import annotations
@@ -339,17 +339,26 @@ SUBCOMMANDS = {
 }
 
 
+def _subparser(add_help, **keywords):
+    """The subcommands' parser_class: an ArgumentParser for the one name that
+    build_parser gives -h, and None for the others, which argparse knows by
+    name and help line alone."""
+    return argparse.ArgumentParser(**keywords) if add_help else None
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of one argv.  The top level registers every subcommand
-    with its help line, so its usage, help and errors do not depend on
-    argv; only the subcommand argv names, its first item not starting
-    with '-', gets -h and its arguments.  The top level has only flags,
-    so a subparser argparse reaches is always that one."""
+    """The parser of one argv: two ArgumentParsers, or one if argv names no
+    subcommand.  The top level registers every subcommand with its help
+    line, so its usage, help and errors do not depend on argv; only the
+    subcommand argv names, its first item not starting with '-', gets a
+    parser, with -h and its arguments, and the others map to None.  The
+    top level has only flags, so a subparser argparse reaches is always
+    that one."""
     named = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(prog="delpezzo")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
     for name, (help_line, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line, add_help=name == named)
         if name == named:

@@ -570,18 +570,23 @@ def _jet3_at(f_terms, point):
     """The terms of degree <= 3 of f(x + p, y + q): the coefficient of
     x^a y^b is the sum of c * C(i, a) * C(j, b) * p^(i-a) * q^(j-b).
 
-    Each term raises each coordinate v to one power, v^(n - min(n, 3))
-    for its exponent n, and multiplies up to the others it needs."""
+    The terms share the powers of each coordinate v: the exponents they
+    need, n - a for an exponent n and a <= min(n, 3), are raised in
+    ascending order, each from the one before by the gap."""
+    powers = []                     # powers[k][e] = point[k]^e
+    for k, v in enumerate(point):
+        needed = sorted({e[k] - a for e in f_terms for a in range(min(e[k], 3) + 1)})
+        table, power, last = {}, 1, 0
+        for n in needed:
+            power *= v ** (n - last)
+            table[n], last = power, n
+        powers.append(table)
     out = {}
     for (i, j), c in f_terms.items():
-        powers = []                 # powers[k][a] = point[k]^(n - a), n = (i, j)[k]
-        for v, n in zip(point, (i, j)):
-            low = v ** (n - min(n, 3))
-            powers.append([low * v ** (min(n, 3) - a) for a in range(min(n, 3) + 1)])
         for a in range(min(i, 3) + 1):
             for b in range(min(j, 3 - a) + 1):
                 out[a, b] = (out.get((a, b), 0) + c * math.comb(i, a) * math.comb(j, b)
-                             * powers[0][a] * powers[1][b])
+                             * powers[0][i - a] * powers[1][j - b])
     return poly_clean(out)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import delpezzo.cli as cli
+import replay
 from delpezzo.cli import main
 from fixtures import ii_star_fiber, remove
 
@@ -467,6 +470,82 @@ def test_sorted_keys(capsys):
 def test_usage_error_exit_code():
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def _full_parser(argv):
+    """The plain argparse reading of SUBCOMMANDS: every subcommand gets a
+    parser, with -h and its arguments, whatever argv names."""
+    parser = argparse.ArgumentParser(prog="delpezzo")
+    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, arguments) in cli.SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+WELL_FORMED_ARGVS = (       # one per subcommand, in SUBCOMMANDS order
+    ("quotient", "--builtin", "z3"), ("classify", "--top", "Q"), ("lemma1",),
+    ("group", "--presentation", "gens=1; rel=1^6", "--bound", "100",
+     "--abelianization", "--hom", "3"),
+    ("mumford", "--i", "4"), ("recognize", "--config", replay.CURVES),
+    ("blowdown", "--config", replay.CURVES, "--curve", "E"),
+    ("wps", "--poly", "vars X:1 Y:1 Z:1\nX^2*Z - a*Y^2*Z", "--param", "a=1", "--singular"),
+    ("germ", "--poly", replay.GERM, "--at", "0,0"),
+    ("fibers", "--must-contain", "I0*", "--total-euler", "12"), ("report",),
+)
+REFERENCE_ARGVS = (*replay.PARSER_ARGVS, *WELL_FORMED_ARGVS,
+                   *(("--pretty", *argv) for argv in WELL_FORMED_ARGVS),
+                   *((argv[0], "--pretty", *argv[1:]) for argv in WELL_FORMED_ARGVS))
+
+
+def test_well_formed_argvs_name_every_subcommand():
+    assert [argv[0] for argv in WELL_FORMED_ARGVS] == list(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", REFERENCE_ARGVS, ids=" ".join)
+def test_main_answers_as_the_full_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parse_args = argparse.ArgumentParser.parse_args
+    parsed = []
+
+    def recording(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    outcomes = []
+    for builder in (cli.build_parser, _full_parser):
+        monkeypatch.setattr(cli, "build_parser", builder)
+        parsed.clear()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err, parsed[:]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][2]
+
+
+@pytest.mark.parametrize("argv, count", [
+    *(((name,), 2) for name in cli.SUBCOMMANDS),
+    (("--pretty", "group", "--bound", "5"), 2), (("germ", "--at", "-2,1"), 2),
+    (("-h",), 1), (("nosuch",), 1), ((), 1), (("-",), 1),
+])
+def test_build_parser_builds_the_top_level_and_the_named_subcommand_only(monkeypatch,
+                                                                         argv, count):
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    parser = cli.build_parser(argv)
+    assert len(built) == count
+    # the named subcommand is argv's first item not starting with '-' only
+    # while no top-level option takes a value
+    assert all(action.nargs == 0 for action in parser._actions if action.option_strings)
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
